@@ -42,6 +42,16 @@
 # membership roster hand-off between the front-end and the manager is the
 # newest place a race or a stale-pointer bug would hide.
 #
+# Both legs also run the tensor suite and the recycle suite. The tensor
+# suite holds the GEMM tile coverage (pack-free A reads of strided
+# sub-blocks, the packed m % 8 tail) and the concurrent-dispatch tests:
+# two application threads issuing threaded GEMMs at once, where the
+# pool's dispatch try-lock is the only thing between them. The recycle
+# suite covers TensorRecycleScope lifetimes: buffers parked and handed
+# back within a scope, released once at the outermost exit, tensors
+# escaping the scope and freed on another thread, and unwinding out of a
+# throwing step_pack.
+#
 # Usage: scripts/ci_sanitize.sh [tsan_build_dir] [asan_build_dir]
 #   (defaults: <repo>/build-tsan, <repo>/build-asan)
 # Also wired as a CMake target: cmake --build build --target ci_sanitize
@@ -51,9 +61,15 @@ build=${1:-"$repo/build-tsan"}
 asan_build=${2:-"$repo/build-asan"}
 
 cmake -B "$build" -S "$repo" -DAERIS_SANITIZE=thread
-cmake --build "$build" -j --target test_swipe test_core test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
+cmake --build "$build" -j --target test_tensor test_recycle test_swipe test_core test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
 # TSan aborts the process on the first race (halt_on_error), so a clean
 # exit means a clean suite. The timeout backstops comm deadlocks.
+TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
+  timeout 600 "$build/tests/test_tensor"
+echo "TSan tensor suite (GEMM tiles, concurrent pool dispatch) clean"
+TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
+  timeout 600 "$build/tests/test_recycle"
+echo "TSan recycle suite clean"
 TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
   timeout 600 "$build/tests/test_swipe"
 echo "TSan swipe suite clean"
@@ -81,7 +97,13 @@ TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
 echo "TSan elastic suite (incl. park/un-park chaos soak) clean"
 
 cmake -B "$asan_build" -S "$repo" -DAERIS_SANITIZE=address
-cmake --build "$asan_build" -j --target test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
+cmake --build "$asan_build" -j --target test_tensor test_recycle test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
+ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
+  timeout 600 "$asan_build/tests/test_tensor"
+echo "ASan tensor suite (GEMM tiles, concurrent pool dispatch) clean"
+ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
+  timeout 600 "$asan_build/tests/test_recycle"
+echo "ASan recycle suite clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_serving"
 echo "ASan serving suite clean"

@@ -118,10 +118,6 @@ class AerisModel {
   nn::TimeEmbedding& time_embedding() { return *time_embed_; }
 
  private:
-  Tensor partition_batch(const Tensor& x, std::int64_t shift) const;
-  Tensor reverse_batch(const Tensor& windows, std::int64_t batch,
-                       std::int64_t shift) const;
-
   ModelConfig cfg_;
   Tensor posenc_;  // [H, W]
   std::shared_ptr<nn::Linear> embed_;

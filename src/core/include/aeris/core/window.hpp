@@ -33,6 +33,19 @@ Tensor window_reverse(const Tensor& windows, std::int64_t h, std::int64_t w,
                       std::int64_t win_h, std::int64_t win_w,
                       std::int64_t shift);
 
+/// window_partition of every sample of x [B, H, W, C] at once:
+/// [B * num_windows, win_h*win_w, C], sample-major. One gather with the
+/// shift folded into the index map; no rolled or per-sample copies.
+Tensor window_partition_batch(const Tensor& x, std::int64_t win_h,
+                              std::int64_t win_w, std::int64_t shift);
+
+/// Inverse of window_partition_batch: [B * num_windows, win_h*win_w, C]
+/// back to [B, H, W, C].
+Tensor window_reverse_batch(const Tensor& windows, std::int64_t batch,
+                            std::int64_t h, std::int64_t w,
+                            std::int64_t win_h, std::int64_t win_w,
+                            std::int64_t shift);
+
 /// Number of windows for a grid.
 std::int64_t window_count(std::int64_t h, std::int64_t w, std::int64_t win_h,
                           std::int64_t win_w);

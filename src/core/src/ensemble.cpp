@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "aeris/tensor/ops.hpp"
+#include "aeris/tensor/recycle.hpp"
 #include "aeris/tensor/thread_pool.hpp"
 
 namespace aeris::core {
@@ -86,6 +87,9 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
     std::span<const MemberSlot> pack, int solver_steps_override,
     nn::CondCache* cache, std::optional<SamplerKind> kind) const {
   if (pack.empty()) return {};
+  // Every forward of this solve frees and re-allocates the same activation
+  // shapes: recycle them on this thread until the solve returns.
+  TensorRecycleScope recycle;
   const SamplerKind resolved = kind.value_or(default_kind_);
   if (resolved == SamplerKind::kConsistency && !has_consistency()) {
     throw std::invalid_argument(

@@ -1,10 +1,10 @@
 #include "aeris/core/model.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 #include "aeris/nn/cond_cache.hpp"
-#include "aeris/tensor/ops.hpp"
 
 namespace aeris::core {
 namespace {
@@ -134,35 +134,6 @@ std::int64_t AerisModel::analytic_param_count(const ModelConfig& c) {
   return n + c.depth * per;
 }
 
-Tensor AerisModel::partition_batch(const Tensor& x, std::int64_t shift) const {
-  const std::int64_t b = x.dim(0);
-  const std::int64_t nwin = cfg_.windows();
-  Tensor out({b * nwin, cfg_.tokens_per_window(), x.dim(3)});
-  for (std::int64_t i = 0; i < b; ++i) {
-    Tensor sample = slice(x, 0, i, i + 1)
-                        .reshaped({x.dim(1), x.dim(2), x.dim(3)});
-    Tensor wins = window_partition(sample, cfg_.win_h, cfg_.win_w, shift);
-    std::copy_n(wins.data(), wins.numel(), out.data() + i * wins.numel());
-  }
-  return out;
-}
-
-Tensor AerisModel::reverse_batch(const Tensor& windows, std::int64_t batch,
-                                 std::int64_t shift) const {
-  const std::int64_t nwin = cfg_.windows();
-  const std::int64_t c = windows.dim(2);
-  Tensor out({batch, cfg_.h, cfg_.w, c});
-  const std::int64_t per = nwin * cfg_.tokens_per_window() * c;
-  for (std::int64_t i = 0; i < batch; ++i) {
-    Tensor wins({nwin, cfg_.tokens_per_window(), c});
-    std::copy_n(windows.data() + i * per, per, wins.data());
-    Tensor img = window_reverse(wins, cfg_.h, cfg_.w, cfg_.win_h, cfg_.win_w,
-                                shift);
-    std::copy_n(img.data(), img.numel(), out.data() + i * img.numel());
-  }
-  return out;
-}
-
 Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
                            nn::FwdCtx& ctx) const {
   if (x.ndim() != 4 || x.dim(1) != cfg_.h || x.dim(2) != cfg_.w ||
@@ -212,10 +183,12 @@ Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
 
   for (std::int64_t l = 0; l < cfg_.depth; ++l) {
     const std::int64_t shift = cfg_.shift_for_layer(l);
-    Tensor wins = partition_batch(tokens, shift);
+    Tensor wins =
+        window_partition_batch(tokens, cfg_.win_h, cfg_.win_w, shift);
     Tensor out =
         blocks_[static_cast<std::size_t>(l)]->forward(wins, cond, nwin, ctx);
-    tokens = reverse_batch(out, batch, shift);
+    tokens = window_reverse_batch(out, batch, cfg_.h, cfg_.w, cfg_.win_h,
+                                  cfg_.win_w, shift);
   }
 
   Tensor normed = final_norm_->forward(tokens, ctx);
@@ -250,10 +223,12 @@ Tensor AerisModel::backward(const Tensor& dy, nn::FwdCtx& ctx) {
     const std::int64_t shift = cfg_.shift_for_layer(l);
     // partition/reverse are permutations: the adjoint of reverse is
     // partition with the same shift, and vice versa.
-    Tensor dwins = partition_batch(dtokens, shift);
+    Tensor dwins =
+        window_partition_batch(dtokens, cfg_.win_h, cfg_.win_w, shift);
     Tensor dx =
         blocks_[static_cast<std::size_t>(l)]->backward(dwins, dcond, ctx);
-    dtokens = reverse_batch(dx, batch, shift);
+    dtokens = window_reverse_batch(dx, batch, cfg_.h, cfg_.w, cfg_.win_h,
+                                   cfg_.win_w, shift);
   }
 
   Tensor dxin = embed_->backward(dtokens, ctx);

@@ -42,17 +42,22 @@ Tensor SwinBlock::forward(const Tensor& x, const Tensor& cond,
   nn::AdaLNHead::Mod mod_a = adaln_attn_.forward(cond, ctx);
   nn::AdaLNHead::Mod mod_f = adaln_ffn_.forward(cond, ctx);
 
+  // The elementwise ops write over their input: inference hands each
+  // activation on, training keeps it for backward and hands on a copy.
+  const bool keep = ctx.training();
+  auto hand_on = [keep](Tensor& t) { return keep ? Tensor(t) : std::move(t); };
+
   Tensor norm1_out = norm1_.forward(x, ctx);
-  Tensor h_mod = nn::modulate(norm1_out, mod_a, wps);
+  Tensor h_mod = nn::modulate(hand_on(norm1_out), mod_a, wps);
   Tensor attn_out = attn_.forward(h_mod, ctx);
-  Tensor h = nn::apply_gate(x, attn_out, mod_a.gate, wps);
+  Tensor h = nn::apply_gate(x, hand_on(attn_out), mod_a.gate, wps);
 
   Tensor norm2_out = norm2_.forward(h, ctx);
-  Tensor f_mod = nn::modulate(norm2_out, mod_f, wps);
+  Tensor f_mod = nn::modulate(hand_on(norm2_out), mod_f, wps);
   Tensor ffn_out = ffn_.forward(f_mod, ctx);
-  Tensor y = nn::apply_gate(h, ffn_out, mod_f.gate, wps);
+  Tensor y = nn::apply_gate(h, hand_on(ffn_out), mod_f.gate, wps);
 
-  if (ctx.training()) {
+  if (keep) {
     SwinBlockCache& cache = ctx.slot<SwinBlockCache>(id_);
     cache.wps = wps;
     cache.x = x;

@@ -43,8 +43,10 @@ class AdaLNHead {
 /// token axis of x [B_tokens_dim layout: (B, T, dim)]. `windows_per_sample`
 /// maps leading window-batch index to conditioning sample: window b uses
 /// cond row b / windows_per_sample (all windows of one sample share one t,
-/// as required by the shared-seed rule in §VI-B).
-Tensor modulate(const Tensor& x, const AdaLNHead::Mod& mod,
+/// as required by the shared-seed rule in §VI-B). Writes h over x's
+/// buffer: inference moves the activation in, training (which keeps x for
+/// backward) passes a copy.
+Tensor modulate(Tensor x, const AdaLNHead::Mod& mod,
                 std::int64_t windows_per_sample);
 
 /// Backward of `modulate`: fills dmod (reduced over tokens/windows) and
@@ -53,8 +55,9 @@ Tensor modulate_backward(const Tensor& x, const AdaLNHead::Mod& mod,
                          const Tensor& dh, AdaLNHead::Mod& dmod,
                          std::int64_t windows_per_sample);
 
-/// out = x + gate ⊙ y (same broadcast rule); returns out.
-Tensor apply_gate(const Tensor& x, const Tensor& y, const Tensor& gate,
+/// out = x + gate ⊙ y (same broadcast rule), written over y's buffer;
+/// as with modulate, inference moves y in and training passes a copy.
+Tensor apply_gate(const Tensor& x, Tensor y, const Tensor& gate,
                   std::int64_t windows_per_sample);
 
 /// Backward of apply_gate: given dout, computes dy and dgate (reduced),

@@ -69,24 +69,22 @@ void check_mod(const Tensor& x, const Tensor& mod_field,
 
 }  // namespace
 
-Tensor modulate(const Tensor& x, const AdaLNHead::Mod& mod,
+Tensor modulate(Tensor x, const AdaLNHead::Mod& mod,
                 std::int64_t windows_per_sample) {
   check_mod(x, mod.scale, windows_per_sample);
   const std::int64_t b = x.dim(0), t = x.dim(1), c = x.dim(2);
-  Tensor h(x.shape());
   for (std::int64_t bb = 0; bb < b; ++bb) {
     const std::int64_t s = bb / windows_per_sample;
     const float* pscale = mod.scale.data() + s * c;
     const float* pshift = mod.shift.data() + s * c;
     for (std::int64_t tok = 0; tok < t; ++tok) {
-      const float* px = x.data() + (bb * t + tok) * c;
-      float* ph = h.data() + (bb * t + tok) * c;
+      float* px = x.data() + (bb * t + tok) * c;
       for (std::int64_t cc = 0; cc < c; ++cc) {
-        ph[cc] = px[cc] * (1.0f + pscale[cc]) + pshift[cc];
+        px[cc] = px[cc] * (1.0f + pscale[cc]) + pshift[cc];
       }
     }
   }
-  return h;
+  return x;
 }
 
 Tensor modulate_backward(const Tensor& x, const AdaLNHead::Mod& mod,
@@ -117,21 +115,23 @@ Tensor modulate_backward(const Tensor& x, const AdaLNHead::Mod& mod,
   return dx;
 }
 
-Tensor apply_gate(const Tensor& x, const Tensor& y, const Tensor& gate,
+Tensor apply_gate(const Tensor& x, Tensor y, const Tensor& gate,
                   std::int64_t windows_per_sample) {
   check_mod(x, gate, windows_per_sample);
+  if (y.shape() != x.shape()) {
+    throw std::invalid_argument("apply_gate: x/y shape mismatch");
+  }
   const std::int64_t b = x.dim(0), t = x.dim(1), c = x.dim(2);
-  Tensor out(x.shape());
   for (std::int64_t bb = 0; bb < b; ++bb) {
     const float* pg = gate.data() + (bb / windows_per_sample) * c;
     for (std::int64_t tok = 0; tok < t; ++tok) {
       const std::int64_t off = (bb * t + tok) * c;
       for (std::int64_t cc = 0; cc < c; ++cc) {
-        out[off + cc] = x[off + cc] + pg[cc] * y[off + cc];
+        y[off + cc] = x[off + cc] + pg[cc] * y[off + cc];
       }
     }
   }
-  return out;
+  return y;
 }
 
 void apply_gate_backward(const Tensor& y, const Tensor& gate,

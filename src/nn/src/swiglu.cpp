@@ -39,26 +39,24 @@ void SwiGLU::init(const Philox& rng, std::uint64_t index) {
 Tensor SwiGLU::forward(const Tensor& x, FwdCtx& ctx) const {
   Tensor gate_pre = gate_.forward(x, ctx);
   Tensor up = up_.forward(x, ctx);
-  Tensor h(gate_pre.shape());
-  const std::int64_t n = h.numel();
+  const std::int64_t n = gate_pre.numel();
   if (ctx.inference()) {
-    // Inference-only activation: polynomial exp, vectorizable. Training
-    // keeps the std::exp silu below — its bit-exact goldens must not move.
-    const float* pg = gate_pre.data();
+    // Inference-only activation: polynomial exp, vectorizable, written over
+    // gate_pre. Training keeps the std::exp silu below — its bit-exact
+    // goldens must not move — and keeps gate_pre for backward.
+    float* pg = gate_pre.data();
     const float* pu = up.data();
-    float* ph = h.data();
 #pragma omp simd
-    for (std::int64_t i = 0; i < n; ++i) ph[i] = fast_siluf(pg[i]) * pu[i];
-    return down_.forward(h, ctx);
+    for (std::int64_t i = 0; i < n; ++i) pg[i] = fast_siluf(pg[i]) * pu[i];
+    return down_.forward(gate_pre, ctx);
   }
+  Tensor h = gate_pre;
   for (std::int64_t i = 0; i < n; ++i) {
-    h[i] = silu(gate_pre[i]) * up[i];
+    h[i] = silu(h[i]) * up[i];
   }
-  if (ctx.training()) {
-    SwiGLUCache& cache = ctx.slot<SwiGLUCache>(id_);
-    cache.gate_pre = std::move(gate_pre);
-    cache.up = std::move(up);
-  }
+  SwiGLUCache& cache = ctx.slot<SwiGLUCache>(id_);
+  cache.gate_pre = std::move(gate_pre);
+  cache.up = std::move(up);
   return down_.forward(h, ctx);
 }
 

@@ -1,5 +1,6 @@
 #include "aeris/serving/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -52,10 +53,10 @@ Tensor get_tensor(const std::vector<float>& in, std::size_t& pos,
   if (pos + n > in.size()) {
     throw std::runtime_error("wire: truncated tensor field");
   }
-  std::vector<float> data(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                          in.begin() + static_cast<std::ptrdiff_t>(pos + n));
+  Tensor t(std::move(shape));
+  std::copy_n(in.data() + pos, n, t.data());
   pos += n;
-  return Tensor(std::move(shape), std::move(data));
+  return t;
 }
 
 void put_string(std::vector<float>& out, const std::string& s) {

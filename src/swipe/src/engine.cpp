@@ -361,7 +361,7 @@ std::pair<Tensor, Tensor> SwipeEngine::complete_recv_forward(
   drain_in_arrival_order(pend, [&](std::size_t i, std::vector<float> buf) {
     if (i == cond_idx) {
       const std::int64_t cdim = static_cast<std::int64_t>(buf.size());
-      cond = Tensor({1, cdim}, std::move(buf));
+      cond = Tensor({1, cdim}, buf);
       return;
     }
     const auto& idx = plan.recv[i];

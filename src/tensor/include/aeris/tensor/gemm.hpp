@@ -21,12 +21,14 @@ enum class GemmPrecision {
 ///
 /// A is (M x K) after optional transpose, B is (K x N) after optional
 /// transpose, C is (M x N). Implemented as a register-tiled micro-kernel
-/// (4x16 accumulator tile, SIMD inner loop) over operands packed into
-/// tile-panel layout in the calling thread's scratch arena; the packed B
-/// panel is shared by all row blocks, and row blocks are dispatched to
-/// the global thread pool. Raw-pointer interface so callers can address
-/// sub-blocks (attention heads, window shards) without materializing
-/// views.
+/// (8x32 accumulator tile, 8x16 for a last strip of at most 16 columns,
+/// SIMD inner loop). Row-major fp32 A is read in place; B (and A when it
+/// is transposed or bf16-rounded, else only its M % 8 tail rows) is packed
+/// into tile-panel layout in the calling thread's scratch arena. The
+/// packed B panel is shared by all row blocks, and row blocks are
+/// dispatched to the global thread pool. Raw-pointer interface so callers
+/// can address sub-blocks (attention heads, window shards) without
+/// materializing views.
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, std::int64_t lda,
           const float* b, std::int64_t ldb, float beta, float* c,

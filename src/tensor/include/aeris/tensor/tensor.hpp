@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "aeris/tensor/recycle.hpp"
+
 namespace aeris {
 
 using Shape = std::vector<std::int64_t>;
@@ -24,6 +26,10 @@ std::string shape_to_string(const Shape& shape);
 /// and parallelism code paths in this repo always materialize the shards
 /// they exchange, mirroring how the paper's runtime packs messages for
 /// alltoall/send-recv.
+///
+/// Storage comes from the heap; while a TensorRecycleScope is open on a
+/// thread, buffers freed there are handed back to that thread's same-size
+/// allocations (see recycle.hpp).
 class Tensor {
  public:
   Tensor() = default;
@@ -34,8 +40,8 @@ class Tensor {
   /// Allocates and fills with `value`.
   Tensor(Shape shape, float value);
 
-  /// Adopts data (must have shape_numel(shape) elements).
-  Tensor(Shape shape, std::vector<float> data);
+  /// Copies data (must have shape_numel(shape) elements).
+  Tensor(Shape shape, const std::vector<float>& data);
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value) {
@@ -84,7 +90,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, detail::RecyclingAllocator<float>> data_;
 };
 
 }  // namespace aeris

@@ -34,7 +34,9 @@ class ThreadPool {
   /// min(grain, n) iterations, blocking until all chunks complete.
   /// Exceptions from chunks propagate (the first one captured is rethrown
   /// on the caller). When n <= grain or the pool has one thread the call
-  /// runs inline with zero synchronization.
+  /// runs inline with zero synchronization. Safe to call from several
+  /// threads at once: while one dispatch is in flight, other callers run
+  /// their whole range inline.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t, std::int64_t)>& fn,
                     std::int64_t grain = 1);
@@ -69,6 +71,10 @@ class ThreadPool {
   std::atomic<std::int64_t> done_chunks_{0};
   std::atomic<std::int64_t> job_limit_{0};
 
+  // Try-lock over the job descriptor: held from publication until the
+  // last chunk finishes; a dispatcher that fails to take it runs inline.
+  std::atomic<bool> dispatch_busy_{false};
+
   std::exception_ptr error_;  // first chunk exception (guarded by err_mutex_)
   std::mutex err_mutex_;
 };
@@ -81,15 +87,15 @@ void parallel_for(std::int64_t n,
 /// While alive on a thread, every parallel_for issued from that thread runs
 /// inline on the caller instead of dispatching to the pool.
 ///
-/// This is the concurrency contract for application-level threading (e.g.
+/// This is the threading contract for application-level parallelism (e.g.
 /// the parallel ensemble engine, whose workers each run whole forward
-/// passes): the pool holds a *single* job descriptor, so two threads
-/// dispatching concurrently would overwrite each other's job. Workers wrap
-/// themselves in a SerialRegionGuard and keep every kernel on their own
-/// thread. Results are unchanged: kernels split only independent output
-/// rows across chunks (GEMM M-strips, attention (batch, head) problems,
-/// norm rows), so inline execution is bitwise-identical to pooled
-/// execution.
+/// passes): workers wrap themselves in a SerialRegionGuard and keep every
+/// kernel on their own thread instead of contending for the pool's single
+/// job descriptor (a contended dispatch would run inline anyway, after a
+/// failed try-lock). Results are unchanged: kernels split only
+/// independent output rows across chunks (GEMM M-strips, attention
+/// (batch, head) problems, norm rows), so inline execution is
+/// bitwise-identical to pooled execution.
 ///
 /// Guards nest; the region ends when the outermost guard is destroyed.
 class SerialRegionGuard {

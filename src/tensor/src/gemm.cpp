@@ -13,44 +13,53 @@ namespace {
 
 std::atomic<GemmPrecision> g_default_precision{GemmPrecision::kFP32};
 
-// Register tile: MR rows x NR columns of C held in accumulators across the
-// whole K loop. NR = 16 floats is one AVX-512 vector / two AVX2 vectors;
-// MR * NR = 64 accumulators fit the FP register file with room for the
-// B row and A broadcasts.
-constexpr std::int64_t kMR = 4;
-constexpr std::int64_t kNR = 16;
+// Register tile: kMR rows x kNR columns of C held in accumulators across
+// the whole K loop. kNR = 32 floats is two AVX-512 vectors, so the tile is
+// 16 zmm accumulators — enough independent FMA chains to cover the FMA
+// latency x port product — plus two B vectors and one A broadcast.
+constexpr std::int64_t kMR = 8;
+constexpr std::int64_t kNR = 32;
+// The last B strip is only kNRTail wide when at most kNRTail columns
+// remain, so narrow products (dh = 8 attention heads) are not padded to a
+// full kNR strip.
+constexpr std::int64_t kNRTail = 16;
 
 // Floor on per-chunk work for the row-block dispatch, so tiny GEMMs run
 // inline instead of paying fork-join overhead.
 constexpr std::int64_t kMinFlopsPerChunk = std::int64_t{1} << 18;
 
-// C tile := alpha * (packed A strip @ packed B strip) + beta * C tile.
+// Width of the B strip starting at column j0.
+std::int64_t strip_width(std::int64_t n, std::int64_t j0) {
+  return n - j0 <= kNRTail ? kNRTail : kNR;
+}
+
+// C tile := alpha * (A rows @ packed B strip) + beta * C tile.
 //
-// `ap` is one A strip: kc steps of kMR values (zero-padded rows), i.e.
-// ap[p*kMR + i] = op(A)[i0 + i, p]. `bp` is one B strip: kc steps of kNR
-// values, bp[p*kNR + j] = op(B)[p, j0 + j]. The K loop is branch-free and
-// keeps all kMR*kNR accumulators in registers; alpha/beta handling happens
-// once at the store, with the (alpha=1, beta=0) assignment path and the
-// beta=0 overwrite path specialized so steady-state forward passes never
-// read C. NaN/Inf in either operand propagate through the products — there
-// is deliberately no zero-skip in the hot loop.
-void micro_kernel(std::int64_t kc, const float* ap, const float* bp, float* c,
-                  std::int64_t ldc, float alpha, float beta, std::int64_t mr,
-                  std::int64_t nr) {
-  float acc[kMR][kNR] = {};
+// Element (i, p) of the A rows is a[i * rs + p * cs]: row-major fp32 A is
+// read in place (rs = lda, cs = 1), a packed strip has rs = 1, cs = kMR
+// with zero-padded rows. `bp` is one B strip: kc steps of kW values,
+// bp[p*kW + j] = op(B)[p, j0 + j]. Every C element accumulates its K
+// products in order from zero, so the tile shape never changes results.
+// The K loop is branch-free; alpha/beta handling happens once at the store,
+// with the (alpha=1, beta=0) assignment path and the beta=0 overwrite path
+// specialized so steady-state forward passes never read C. NaN/Inf in
+// either operand propagate through the products — there is deliberately
+// no zero-skip in the hot loop.
+template <std::int64_t kW>
+void micro_kernel(std::int64_t kc, const float* a, std::int64_t rs,
+                  std::int64_t cs, const float* bp, float* c, std::int64_t ldc,
+                  float alpha, float beta, std::int64_t mr, std::int64_t nr) {
+  float acc[kMR][kW] = {};
+  const float* ar[kMR];
+  for (std::int64_t i = 0; i < kMR; ++i) ar[i] = a + i * rs;
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* b = bp + p * kNR;
-    const float a0 = ap[p * kMR + 0];
-    const float a1 = ap[p * kMR + 1];
-    const float a2 = ap[p * kMR + 2];
-    const float a3 = ap[p * kMR + 3];
+    const float* b = bp + p * kW;
+    const std::int64_t ap = p * cs;
+#pragma GCC unroll 8
+    for (std::int64_t i = 0; i < kMR; ++i) {
+      const float av = ar[i][ap];
 #pragma omp simd
-    for (std::int64_t j = 0; j < kNR; ++j) {
-      const float bv = b[j];
-      acc[0][j] += a0 * bv;
-      acc[1][j] += a1 * bv;
-      acc[2][j] += a2 * bv;
-      acc[3][j] += a3 * bv;
+      for (std::int64_t j = 0; j < kW; ++j) acc[i][j] += av * b[j];
     }
   }
   for (std::int64_t i = 0; i < mr; ++i) {
@@ -103,18 +112,19 @@ void pack_a(bool trans, std::int64_t m, std::int64_t k, const float* a,
   }
 }
 
-// Packs op(B) (k x n) into ceil(n/kNR) strips of kNR zero-padded columns:
-// dst[t*k*kNR + p*kNR + j] = op(B)[p, t*kNR + j].
+// Packs op(B) (k x n) into strips of strip_width() zero-padded columns;
+// the strip for columns [j0, j0 + w) starts at dst + j0 * k and holds
+// dst[j0*k + p*w + j] = op(B)[p, j0 + j].
 void pack_b(bool trans, std::int64_t k, std::int64_t n, const float* b,
             std::int64_t ldb, bool to_bf16, float* dst) {
-  const std::int64_t strips = (n + kNR - 1) / kNR;
-  for (std::int64_t t = 0; t < strips; ++t) {
-    float* out = dst + t * k * kNR;
-    const std::int64_t nr = std::min(kNR, n - t * kNR);
+  for (std::int64_t j0 = 0; j0 < n; j0 += kNR) {
+    const std::int64_t w = strip_width(n, j0);
+    const std::int64_t nr = std::min(w, n - j0);
+    float* out = dst + j0 * k;
     for (std::int64_t p = 0; p < k; ++p) {
-      float* row = out + p * kNR;
+      float* row = out + p * w;
       if (!trans) {
-        const float* src = b + p * ldb + t * kNR;
+        const float* src = b + p * ldb + j0;
         if (to_bf16) {
           for (std::int64_t j = 0; j < nr; ++j) row[j] = bf16_round(src[j]);
         } else {
@@ -122,27 +132,49 @@ void pack_b(bool trans, std::int64_t k, std::int64_t n, const float* b,
         }
       } else {
         for (std::int64_t j = 0; j < nr; ++j) {
-          const float v = b[(t * kNR + j) * ldb + p];
+          const float v = b[(j0 + j) * ldb + p];
           row[j] = to_bf16 ? bf16_round(v) : v;
         }
       }
-      for (std::int64_t j = nr; j < kNR; ++j) row[j] = 0.0f;
+      for (std::int64_t j = nr; j < w; ++j) row[j] = 0.0f;
     }
   }
 }
 
-// All C row-strips [s0, s1) against every packed B strip.
+// The A operand by row strip: the first `in_place` strips are read
+// straight from row-major `a`; the rest come from `packed` (all strips
+// for transposed or bf16-rounded A, else only the m % kMR tail).
+struct AStrips {
+  const float* a = nullptr;
+  std::int64_t lda = 0;
+  std::int64_t in_place = 0;
+  const float* packed = nullptr;
+};
+
+// All C row-strips [s0, s1) against every packed B strip. B strips are the
+// outer loop so one strip stays in L1 while the row blocks stream past it.
 void gemm_strips(std::int64_t s0, std::int64_t s1, std::int64_t m,
-                 std::int64_t n, std::int64_t k, float alpha, const float* pa,
-                 const float* pb, float beta, float* c, std::int64_t ldc) {
-  const std::int64_t bstrips = (n + kNR - 1) / kNR;
-  for (std::int64_t s = s0; s < s1; ++s) {
-    const std::int64_t mr = std::min(kMR, m - s * kMR);
-    const float* ap = pa + s * k * kMR;
-    for (std::int64_t t = 0; t < bstrips; ++t) {
-      const std::int64_t nr = std::min(kNR, n - t * kNR);
-      micro_kernel(k, ap, pb + t * k * kNR, c + s * kMR * ldc + t * kNR, ldc,
-                   alpha, beta, mr, nr);
+                 std::int64_t n, std::int64_t k, float alpha,
+                 const AStrips& as, const float* pb, float beta, float* c,
+                 std::int64_t ldc) {
+  for (std::int64_t j0 = 0; j0 < n; j0 += kNR) {
+    const std::int64_t nr = std::min(kNR, n - j0);
+    const bool tail = strip_width(n, j0) == kNRTail;
+    for (std::int64_t s = s0; s < s1; ++s) {
+      const std::int64_t mr = std::min(kMR, m - s * kMR);
+      const bool direct = s < as.in_place;
+      const float* ap = direct ? as.a + s * kMR * as.lda
+                               : as.packed + (s - as.in_place) * k * kMR;
+      const std::int64_t rs = direct ? as.lda : 1;
+      const std::int64_t cs = direct ? 1 : kMR;
+      float* ct = c + s * kMR * ldc + j0;
+      if (tail) {
+        micro_kernel<kNRTail>(k, ap, rs, cs, pb + j0 * k, ct, ldc, alpha,
+                              beta, mr, nr);
+      } else {
+        micro_kernel<kNR>(k, ap, rs, cs, pb + j0 * k, ct, ldc, alpha, beta,
+                          mr, nr);
+      }
     }
   }
 }
@@ -156,21 +188,32 @@ void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   const bool bf16_a = prec != GemmPrecision::kFP32;
   const bool bf16_b = prec == GemmPrecision::kBF16;
   const std::int64_t astrips = (m + kMR - 1) / kMR;
-  const std::int64_t bstrips = (n + kNR - 1) / kNR;
+  const std::int64_t j_last = (n - 1) / kNR * kNR;  // last B strip
+  const std::int64_t bcols = j_last + strip_width(n, j_last);
 
-  // Pack both operands once into the caller's arena; the B panel is read
-  // by every row block (and every pool worker) without being re-packed.
+  // Row-major fp32 A is read in place; only the m % kMR tail (or all of A
+  // when it must be transposed or rounded) is packed. Packing goes to the
+  // caller's arena once; the B panel is read by every row block (and every
+  // pool worker) without being re-packed.
+  AStrips as;
+  if (!trans_a && !bf16_a && k > 0) {
+    as.a = a;
+    as.lda = lda;
+    as.in_place = m / kMR;
+  }
   ScratchArena& arena = ScratchArena::for_current_thread();
   ScratchArena::Scope scope(arena);
-  float* pa = arena.alloc_floats(astrips * kMR * k);
-  float* pb = arena.alloc_floats(bstrips * kNR * k);
+  float* pa = arena.alloc_floats((astrips - as.in_place) * kMR * k);
+  float* pb = arena.alloc_floats(bcols * k);
+  as.packed = pa;
   if (k > 0) {
-    pack_a(trans_a, m, k, a, lda, bf16_a, pa);
+    const std::int64_t r0 = as.in_place * kMR;
+    if (r0 < m) pack_a(trans_a, m - r0, k, a + r0 * lda, lda, bf16_a, pa);
     pack_b(trans_b, k, n, b, ldb, bf16_b, pb);
   }
 
   if (!threaded) {
-    gemm_strips(0, astrips, m, n, k, alpha, pa, pb, beta, c, ldc);
+    gemm_strips(0, astrips, m, n, k, alpha, as, pb, beta, c, ldc);
     return;
   }
   const std::int64_t flops_per_strip =
@@ -180,7 +223,7 @@ void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   parallel_for(
       astrips,
       [&](std::int64_t s0, std::int64_t s1) {
-        gemm_strips(s0, s1, m, n, k, alpha, pa, pb, beta, c, ldc);
+        gemm_strips(s0, s1, m, n, k, alpha, as, pb, beta, c, ldc);
       },
       grain);
 }

@@ -32,8 +32,8 @@ Tensor::Tensor(Shape shape, float value)
     : shape_(std::move(shape)),
       data_(static_cast<std::size_t>(shape_numel(shape_)), value) {}
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : shape_(std::move(shape)), data_(data.begin(), data.end()) {
   if (static_cast<std::int64_t>(data_.size()) != shape_numel(shape_)) {
     throw std::invalid_argument("Tensor: data size " +
                                 std::to_string(data_.size()) +

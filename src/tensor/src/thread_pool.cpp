@@ -99,6 +99,19 @@ void ThreadPool::parallel_for(
     return;
   }
 
+  // One job descriptor: a caller that finds another dispatch in flight
+  // (a second application thread, or a chunk dispatching again) runs its
+  // range inline instead of overwriting the job. Bitwise-safe, because
+  // every kernel splits only independent output rows across chunks.
+  if (dispatch_busy_.exchange(true, std::memory_order_acquire)) {
+    fn(0, n);
+    return;
+  }
+  struct Release {
+    std::atomic<bool>& busy;
+    ~Release() { busy.store(false, std::memory_order_release); }
+  } release{dispatch_busy_};
+
   std::int64_t limit;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "aeris/tensor/ops.hpp"
 
@@ -187,6 +189,104 @@ TEST(AerisModel, BatchIndependence) {
   Tensor x0 = slice(x, 0, 0, 1);
   Tensor y1 = model.forward(x0, Tensor::from({0.4f}));
   EXPECT_TRUE(slice(y2, 0, 0, 1).allclose(y1, 1e-4f));
+}
+
+// Frozen inference golden: FNV-1a over the bit patterns of forward()
+// outputs for seeded, weight-perturbed models. Serial-vs-batched tests
+// compare two paths of one build; this pins the numbers themselves, so a
+// kernel change that alters both paths alike (GEMM tile shape, packing,
+// accumulation order, in-place elementwise ops) still fails here. Depth 2
+// runs both shift parities; E = 1..3 covers odd and even window stacks.
+std::uint64_t output_hash(const Tensor& y) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::int64_t d : y.shape()) h = (h ^ static_cast<std::uint64_t>(d)) *
+                                       0x100000001b3ull;
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, y.data() + i, sizeof(bits));
+    h = (h ^ bits) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+ModelConfig golden_toy_cfg() {
+  ModelConfig c;
+  c.h = 16;
+  c.w = 16;
+  c.in_channels = 12;
+  c.out_channels = 5;
+  c.dim = 32;
+  c.depth = 2;
+  c.heads = 4;
+  c.ffn_hidden = 64;
+  c.win_h = 8;
+  c.win_w = 8;
+  c.cond_dim = 32;
+  return c;
+}
+
+ModelConfig golden_offline_cfg() {
+  ModelConfig c = golden_toy_cfg();
+  c.w = 32;
+  c.dim = 128;
+  c.ffn_hidden = 256;
+  c.cond_dim = 64;
+  return c;
+}
+
+std::uint64_t golden_forward_hash(const ModelConfig& c, std::int64_t e) {
+  AerisModel model(c, 21);
+  const Philox rng(21 ^ 0xA5A5A5A5ull);
+  std::uint64_t stream = 100;
+  for (nn::Param* p : model.params()) {
+    Tensor noise(p->value.shape());
+    rng.fill_normal(noise, stream++, 0);
+    for (std::int64_t i = 0; i < noise.numel(); ++i) {
+      p->value[i] += 0.05f * noise[i];
+    }
+  }
+  Tensor x({e, c.h, c.w, c.in_channels});
+  rng.fill_normal(x, 1, static_cast<std::uint64_t>(e));
+  Tensor t({e}, 0.7f);
+  return output_hash(model.forward(x, t));
+}
+
+// The hashes pin GCC's optimized AVX-512/FMA build (the default
+// -O3 -march=native): inference softmax, SiLU and norm loops use
+// `omp simd` reductions whose summation order follows the vector code the
+// compiler emits, and sanitizer instrumentation or another ISA changes
+// that code, so those builds legitimately produce other bits.
+#if defined(__AVX512F__) && defined(__FMA__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(__SANITIZE_ADDRESS__) &&          \
+    !defined(__SANITIZE_THREAD__)
+constexpr bool kGoldenBuild = true;
+#else
+constexpr bool kGoldenBuild = false;
+#endif
+
+TEST(AerisModel, FrozenForwardGolden) {
+  if (!kGoldenBuild) {
+    GTEST_SKIP() << "hashes are recorded for the optimized GCC AVX-512 build";
+  }
+  struct Case {
+    const char* name;
+    ModelConfig cfg;
+    std::int64_t e;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"toy", golden_toy_cfg(), 1, 0x2748414a0e11c33bull},
+      {"toy", golden_toy_cfg(), 2, 0x118f8fef8d10d294ull},
+      {"toy", golden_toy_cfg(), 3, 0x449ba84f9cb0b26aull},
+      {"offline", golden_offline_cfg(), 1, 0x801e423d7db51eefull},
+      {"offline", golden_offline_cfg(), 2, 0x9e8ef6d29c4182fdull},
+      {"offline", golden_offline_cfg(), 3, 0x9c1cd99211caf5e1ull},
+  };
+  for (const Case& k : cases) {
+    const std::uint64_t got = golden_forward_hash(k.cfg, k.e);
+    EXPECT_EQ(got, k.hash) << k.name << " E=" << k.e << " got 0x" << std::hex
+                           << got;
+  }
 }
 
 }  // namespace

@@ -95,6 +95,30 @@ TEST(WindowPartition, PartitionIsAPermutation) {
   for (int s : seen) EXPECT_EQ(s, 1);
 }
 
+// The batched gather equals per-sample partitions stacked sample-major,
+// matches the roll-then-partition definition, and reverses exactly.
+TEST(WindowPartition, BatchMatchesPerSampleAndRolledDefinition) {
+  Philox rng(5);
+  const std::int64_t b = 3, h = 8, w = 16, c = 3;
+  Tensor x({b, h, w, c});
+  rng.fill_normal(x, 1, 0);
+  for (std::int64_t shift : {0, 2, -3}) {
+    Tensor wins = window_partition_batch(x, 4, 4, shift);
+    ASSERT_EQ(wins.shape(), (Shape{b * 8, 16, c}));
+    for (std::int64_t i = 0; i < b; ++i) {
+      Tensor sample = slice(x, 0, i, i + 1).reshaped({h, w, c});
+      Tensor want = window_partition(roll2d(sample, -shift, -shift), 4, 4, 0);
+      Tensor got = slice(wins, 0, i * 8, (i + 1) * 8);
+      EXPECT_TRUE(got.allclose(want, 0.0f)) << "shift " << shift << " b " << i;
+    }
+    EXPECT_TRUE(window_reverse_batch(wins, b, h, w, 4, 4, shift)
+                    .allclose(x, 0.0f))
+        << "shift " << shift;
+  }
+  EXPECT_THROW(window_reverse_batch(Tensor({8, 16, c}), b, h, w, 4, 4, 0),
+               std::invalid_argument);
+}
+
 TEST(WindowReverse, ValidatesShape) {
   Tensor wins({3, 16, 2});
   EXPECT_THROW(window_reverse(wins, 8, 8, 4, 4, 0), std::invalid_argument);

@@ -65,6 +65,29 @@ TEST(AdaLN, WindowSampleMismatchThrows) {
   EXPECT_THROW(modulate(x, mod, 1), std::invalid_argument);
 }
 
+// apply_gate writes over y, so y must have x's shape exactly.
+TEST(AdaLN, GateShapeMismatchThrows) {
+  Tensor x({2, 3, 4}), gate({2, 4});
+  EXPECT_THROW(apply_gate(x, Tensor({2, 3, 5}), gate, 1),
+               std::invalid_argument);
+  EXPECT_THROW(apply_gate(x, Tensor({2, 4, 4}), gate, 1),
+               std::invalid_argument);
+}
+
+// In place: the result takes over the moved-in buffer.
+TEST(AdaLN, ModulateAndGateReuseTheMovedInBuffer) {
+  Tensor x({2, 3, 4}, 1.0f), y({2, 3, 4}, 2.0f), gate({2, 4}, 0.5f);
+  AdaLNHead::Mod mod{Tensor({2, 4}, 0.25f), Tensor({2, 4}, 1.0f), gate};
+  const float* xbuf = x.data();
+  Tensor h = modulate(std::move(x), mod, 1);
+  EXPECT_EQ(h.data(), xbuf);
+  EXPECT_FLOAT_EQ(h[0], 1.0f * (1.0f + 1.0f) + 0.25f);
+  const float* ybuf = y.data();
+  Tensor out = apply_gate(h, std::move(y), gate, 1);
+  EXPECT_EQ(out.data(), ybuf);
+  EXPECT_FLOAT_EQ(out[0], h[0] + 0.5f * 2.0f);
+}
+
 TEST(AdaLN, ModulateBackwardGradCheck) {
   Philox rng(3);
   AdaLNHead::Mod mod;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <thread>
 
 #include "aeris/tensor/rng.hpp"
 
@@ -86,6 +88,31 @@ TEST(Gemm, NonFiniteInAPropagates) {
   EXPECT_TRUE(std::isinf(c.at2(0, 0)));
   EXPECT_TRUE(std::isnan(c.at2(0, 1)));  // inf*0 + 0*1
   EXPECT_FLOAT_EQ(c.at2(1, 0), 1.0f);
+
+  // NaN/Inf in A rows read in place (rows 0-15) and in the packed tail
+  // (row 17) reach exactly their own C rows.
+  Philox rng(18);
+  const std::int64_t m = 19, n = 40, k = 12, lda = 15;
+  Tensor a2({m, lda}), b2({k, n});
+  rng.fill_normal(a2, 1, 0);
+  rng.fill_normal(b2, 1, 1);
+  a2.at2(3, 5) = std::numeric_limits<float>::quiet_NaN();
+  a2.at2(17, 0) = inf;
+  Tensor c2({m, n});
+  gemm(false, false, m, n, k, 1.0f, a2.data(), lda, b2.data(), n, 0.0f,
+       c2.data(), n);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float v = c2.at2(i, j);
+      if (i == 3) {
+        EXPECT_TRUE(std::isnan(v)) << j;
+      } else if (i == 17) {
+        EXPECT_FALSE(std::isfinite(v)) << j;
+      } else {
+        EXPECT_TRUE(std::isfinite(v)) << i << "," << j;
+      }
+    }
+  }
 }
 
 // beta accumulation must work for every trans_a/trans_b combination.
@@ -115,49 +142,139 @@ TEST(Gemm, BetaAccumulateAllTransCombos) {
   }
 }
 
-// Raw-pointer interface on sub-blocks of larger buffers: lda/ldb/ldc larger
-// than the logical dims, as used by the attention head and window shards.
+// Raw-pointer interface on sub-blocks of larger buffers (lda/ldb/ldc
+// larger than the logical dims, as used by the attention head and window
+// shards), swept over the register tile: every m % 8 (the packed tail
+// strip next to in-place row blocks), column counts around the 16-wide
+// tail strip and the 32-wide strips, all trans combos. The ldc gaps must
+// stay untouched.
 TEST(Gemm, StridedSubBlocks) {
-  Philox rng(14);
-  const std::int64_t m = 6, n = 9, k = 4;
-  const std::int64_t lda = 11, ldb = 17, ldc = 13;
-  Tensor abuf({m, lda}), bbuf({k, ldb}), cbuf({m, ldc});
-  rng.fill_normal(abuf, 1, 0);
-  rng.fill_normal(bbuf, 1, 1);
-  cbuf.fill(99.0f);  // sentinel: the gaps must stay untouched
-
-  gemm(false, false, m, n, k, 1.0f, abuf.data(), lda, bbuf.data(), ldb, 0.0f,
-       cbuf.data(), ldc);
-
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        acc += static_cast<double>(abuf.at2(i, p)) * bbuf.at2(p, j);
+  Philox rng(17);
+  const std::int64_t k = 19;
+  std::uint64_t stream = 0;
+  for (std::int64_t m = 1; m <= 17; ++m) {
+    for (const std::int64_t n : {1, 8, 15, 16, 17, 31, 32, 33, 48, 96}) {
+      for (const bool ta : {false, true}) {
+        for (const bool tb : {false, true}) {
+          const std::int64_t ar = ta ? k : m, ac = ta ? m : k;
+          const std::int64_t br = tb ? n : k, bc = tb ? k : n;
+          const std::int64_t lda = ac + 3, ldb = bc + 5, ldc = n + 7;
+          Tensor abuf({ar, lda}), bbuf({br, ldb}), cbuf({m, ldc}, 99.0f);
+          rng.fill_normal(abuf, 2, stream);
+          rng.fill_normal(bbuf, 3, stream++);
+          gemm(ta, tb, m, n, k, 1.0f, abuf.data(), lda, bbuf.data(), ldb, 0.0f,
+               cbuf.data(), ldc);
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              double acc = 0.0;
+              for (std::int64_t p = 0; p < k; ++p) {
+                const float av = ta ? abuf.at2(p, i) : abuf.at2(i, p);
+                const float bv = tb ? bbuf.at2(j, p) : bbuf.at2(p, j);
+                acc += static_cast<double>(av) * bv;
+              }
+              ASSERT_NEAR(cbuf.at2(i, j), acc, 1e-4 * k)
+                  << "m=" << m << " n=" << n << " ta=" << ta << " tb=" << tb
+                  << " at " << i << "," << j;
+            }
+            for (std::int64_t j = n; j < ldc; ++j) {
+              ASSERT_EQ(cbuf.at2(i, j), 99.0f)
+                  << "gap clobbered m=" << m << " n=" << n << " at " << i;
+            }
+          }
+        }
       }
-      EXPECT_NEAR(cbuf.at2(i, j), static_cast<float>(acc), 1e-4f)
-          << i << "," << j;
-    }
-    for (std::int64_t j = n; j < ldc; ++j) {
-      EXPECT_EQ(cbuf.at2(i, j), 99.0f) << "gap clobbered at " << i << "," << j;
     }
   }
 }
 
-TEST(Gemm, SerialMatchesThreaded) {
-  Philox rng(15);
-  const std::int64_t m = 33, n = 29, k = 41;
-  Tensor a({m, k}), b({k, n});
-  rng.fill_normal(a, 1, 0);
-  rng.fill_normal(b, 1, 1);
-  Tensor c1({m, n}), c2({m, n});
-  gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c1.data(),
-       n);
-  gemm_serial(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-              c2.data(), n);
-  for (std::int64_t i = 0; i < c1.numel(); ++i) {
-    EXPECT_EQ(c1[i], c2[i]) << "at " << i;
+// Every alpha/beta store branch: (1, 0) assignment, (alpha, 0) overwrite,
+// (alpha, 1) accumulate, and the general blend; on full and tail strips
+// of both A paths (in place and packed via trans_a).
+TEST(Gemm, EveryStoreBranchMatchesReference) {
+  Philox rng(19);
+  const std::int64_t m = 21, n = 45, k = 13;
+  const float branches[][2] = {
+      {1.0f, 0.0f}, {0.5f, 0.0f}, {1.0f, 1.0f}, {-2.0f, 1.0f}, {1.5f, -0.25f}};
+  for (const bool ta : {false, true}) {
+    Tensor a(ta ? Shape{k, m} : Shape{m, k}), b({k, n}), c0({m, n});
+    rng.fill_normal(a, 1, 0);
+    rng.fill_normal(b, 1, 1);
+    rng.fill_normal(c0, 1, 2);
+    const Tensor prod = ref_matmul(a, b, ta, false);
+    for (const auto& ab : branches) {
+      Tensor c = c0;
+      gemm(ta, false, m, n, k, ab[0], a.data(), a.dim(1), b.data(), n, ab[1],
+           c.data(), n);
+      for (std::int64_t i = 0; i < c.numel(); ++i) {
+        const float want = ab[0] * prod[i] + ab[1] * c0[i];
+        ASSERT_NEAR(c[i], want, 1e-4f)
+            << "alpha=" << ab[0] << " beta=" << ab[1] << " ta=" << ta
+            << " at " << i;
+      }
+    }
   }
+}
+
+bool bitwise_equal(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(), sizeof(float) * x.numel()) == 0;
+}
+
+// Large enough that the pool splits row blocks: pooled and serial results
+// must agree bit for bit on every trans combo and precision.
+TEST(Gemm, SerialMatchesThreaded) {
+  Philox rng(20);
+  const std::int64_t m = 203, n = 97, k = 64;
+  for (const GemmPrecision prec :
+       {GemmPrecision::kFP32, GemmPrecision::kBF16, GemmPrecision::kBF16A}) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        Tensor a(ta ? Shape{k, m} : Shape{m, k});
+        Tensor b(tb ? Shape{n, k} : Shape{k, n});
+        rng.fill_normal(a, 1, 0);
+        rng.fill_normal(b, 1, 1);
+        Tensor c1({m, n}, 0.5f), c2({m, n}, 0.5f);
+        gemm(ta, tb, m, n, k, 0.75f, a.data(), a.dim(1), b.data(), b.dim(1),
+             1.0f, c1.data(), n, prec);
+        gemm_serial(ta, tb, m, n, k, 0.75f, a.data(), a.dim(1), b.data(),
+                    b.dim(1), 1.0f, c2.data(), n, prec);
+        EXPECT_TRUE(bitwise_equal(c1, c2))
+            << "prec=" << static_cast<int>(prec) << " ta=" << ta
+            << " tb=" << tb;
+      }
+    }
+  }
+}
+
+// Two application threads dispatch threaded GEMMs at once: the loser of
+// the pool's dispatch try-lock runs inline instead of overwriting the
+// single job descriptor, and every result must equal the serial product
+// bitwise. A hang trips the per-test TIMEOUT.
+TEST(Gemm, ConcurrentThreadedCallersMatchSerial) {
+  const std::int64_t m = 256, n = 96, k = 64;
+  auto worker = [&](std::uint64_t seed, bool* ok) {
+    Philox rng(seed);
+    Tensor a({m, k}), b({n, k});
+    rng.fill_normal(a, 1, 0);
+    rng.fill_normal(b, 1, 1);
+    Tensor want({m, n});
+    gemm_serial(false, true, m, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f,
+                want.data(), n);
+    *ok = true;
+    for (int rep = 0; rep < 50; ++rep) {
+      Tensor got({m, n});
+      gemm(false, true, m, n, k, 1.0f, a.data(), k, b.data(), k, 0.0f,
+           got.data(), n);
+      *ok = *ok && bitwise_equal(got, want);
+    }
+  };
+  bool ok1 = false, ok2 = false;
+  std::thread t1(worker, 31, &ok1);
+  std::thread t2(worker, 32, &ok2);
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(ok1);
+  EXPECT_TRUE(ok2);
 }
 
 // BF16 inputs across all trans combos: error must stay within the analytic

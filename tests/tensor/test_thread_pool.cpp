@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -146,6 +147,47 @@ TEST(ThreadPool, ManyBackToBackDispatches) {
     });
     ASSERT_EQ(count.load(), 97) << "round " << round;
   }
+}
+
+// Dispatch is a try-lock over the single job descriptor: concurrent
+// callers and a chunk that dispatches again run their range inline, and
+// every range is still covered exactly once.
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRange) {
+  ThreadPool pool(4);
+  auto caller = [&pool](bool* ok) {
+    *ok = true;
+    for (int round = 0; round < 200; ++round) {
+      std::vector<std::atomic<int>> hits(257);
+      pool.parallel_for(257, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          hits[static_cast<std::size_t>(i)]++;
+        }
+      });
+      for (const auto& h : hits) *ok = *ok && h.load() == 1;
+    }
+  };
+  bool ok1 = false, ok2 = false;
+  std::thread t1(caller, &ok1);
+  std::thread t2(caller, &ok2);
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(ok1);
+  EXPECT_TRUE(ok2);
+}
+
+TEST(ThreadPool, NestedDispatchRunsInline) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(64 * 32);
+  pool.parallel_for(64, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      pool.parallel_for(32, [&](std::int64_t jb, std::int64_t je) {
+        for (std::int64_t j = jb; j < je; ++j) {
+          hits[static_cast<std::size_t>(i * 32 + j)]++;
+        }
+      });
+    }
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, GlobalPoolWorks) {
