@@ -21,8 +21,6 @@
 #include "aeris/swipe/fault.hpp"
 #include "aeris/swipe/zero1.hpp"
 #include "aeris/swipe/window_layout.hpp"
-#include "aeris/nn/cond_cache.hpp"
-#include "aeris/tensor/bf16.hpp"
 #include "aeris/tensor/gemm.hpp"
 
 namespace {
@@ -41,60 +39,6 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_GemmBf16(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  Tensor a({n, n}), b({n, n});
-  Philox rng(1);
-  rng.fill_normal(a, 1, 0);
-  rng.fill_normal(b, 1, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a, b, false, false, GemmPrecision::kBF16));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmBf16)->Arg(64)->Arg(128)->Arg(256);
-
-// bf16 GEMM at the rectangular shapes the model actually runs: qkv
-// projection (tokens x 3*dim x dim), SwiGLU up/gate (tokens x ffn x dim)
-// and down (tokens x dim x ffn) for the BM_ModelForward configuration
-// (32x32 grid = 1024 tokens, dim 32, ffn 64).
-void BM_GemmBf16ModelShapes(benchmark::State& state) {
-  const std::int64_t m = state.range(0);
-  const std::int64_t n = state.range(1);
-  const std::int64_t k = state.range(2);
-  Tensor a({m, k}), b({k, n});
-  Philox rng(1);
-  rng.fill_normal(a, 1, 0);
-  rng.fill_normal(b, 1, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a, b, false, false, GemmPrecision::kBF16));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
-}
-BENCHMARK(BM_GemmBf16ModelShapes)
-    ->Args({1024, 96, 32})
-    ->Args({1024, 64, 32})
-    ->Args({1024, 32, 64})
-    ->ArgNames({"m", "n", "k"});
-
-// The Linear fast path: B (the weight) is pre-rounded once and consumed
-// as-is (kBF16A rounds only the activations at pack time), versus kBF16
-// re-rounding both operands every call.
-void BM_GemmBf16PreRounded(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  Tensor a({n, n}), b({n, n});
-  Philox rng(1);
-  rng.fill_normal(a, 1, 0);
-  rng.fill_normal(b, 1, 1);
-  for (float& v : b.flat()) v = bf16_round(v);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        matmul(a, b, false, false, GemmPrecision::kBF16A));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmBf16PreRounded)->Arg(128);
 
 void BM_WindowAttentionForward(benchmark::State& state) {
   nn::WindowAttention attn("a", 32, 4, 8, 8);
@@ -152,42 +96,6 @@ void BM_ModelForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelForward);
-
-// The conditioning-cache win in isolation, at BM_EnsembleRollout's model
-// configuration (where conditioning is a visible slice of the forward):
-// one call per solver-stage time of a short fixed schedule, exactly the
-// lookup pattern of a rollout. cached:0 recomputes TimeEmbedding + every
-// AdaLN head each call; cached:1 hits the warm per-"forecast" cache on
-// all but the first schedule sweep.
-void BM_CondCache(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  core::ModelConfig mc;
-  mc.h = 16;
-  mc.w = 16;
-  mc.in_channels = 12;
-  mc.out_channels = 5;
-  mc.dim = 32;
-  mc.depth = 2;
-  mc.heads = 4;
-  mc.ffn_hidden = 64;
-  mc.win_h = 8;
-  mc.win_w = 8;
-  mc.cond_dim = 32;
-  core::AerisModel model(mc, 1);
-  Philox rng(4);
-  Tensor x({1, 16, 16, 12});
-  rng.fill_normal(x, 1, 0);
-  const float schedule[] = {1.0f, 0.8f, 0.6f, 0.45f, 0.3f, 0.2f, 0.1f, 0.05f};
-  nn::CondCache cache;
-  for (auto _ : state) {
-    for (const float t : schedule) {
-      benchmark::DoNotOptimize(
-          model.forward(x, Tensor({1}, t), cached ? &cache : nullptr));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_CondCache)->Arg(0)->Arg(1)->ArgNames({"cached"});
 
 void BM_ReshardPlan(benchmark::State& state) {
   swipe::WindowLayout from(32, 32, 8, 8, 2, 2, 2, 0);
@@ -698,110 +606,6 @@ BENCHMARK(BM_ClusterRejoin)
     ->Args({3, 1})
     ->ArgNames({"ranks", "kills"})
     ->UseRealTime();  // park/rejoin latency is wall-clock, not driver CPU
-
-// BM_EnsembleRollout's members/1/1 and members/1/members rows under the
-// opt-in bf16 compute path. On hardware without native bf16 dot products
-// the rounding is pure overhead, so these rows are expected to trail their
-// fp32 twins — they are here to quantify that cost, not to show a win.
-void BM_EnsembleRolloutBf16(benchmark::State& state) {
-  const std::int64_t members = state.range(0);
-  const std::int64_t batch = state.range(1);
-  core::ModelConfig mc;
-  mc.h = 16;
-  mc.w = 16;
-  mc.in_channels = 12;
-  mc.out_channels = 5;
-  mc.dim = 32;
-  mc.depth = 2;
-  mc.heads = 4;
-  mc.ffn_hidden = 64;
-  mc.win_h = 8;
-  mc.win_w = 8;
-  mc.cond_dim = 32;
-  core::AerisModel model(mc, 1);
-  core::TrigFlowConfig tf;
-  core::TrigSamplerConfig sc;
-  sc.steps = 4;
-  sc.churn = 0.3f;
-  core::ParallelEnsembleEngine engine(model, tf, sc, 7);
-  engine.set_infer_precision(nn::InferPrecision::kBf16);
-  Philox rng(8);
-  Tensor init({16, 16, 5});
-  rng.fill_normal(init, 1, 0);
-  Tensor forcing({16, 16, 2});
-  rng.fill_normal(forcing, 1, 1);
-  core::ForcingFn forcings = [&](std::int64_t) { return forcing; };
-  core::EnsembleOptions opts;
-  opts.batch = batch;
-  opts.threads = 1;
-  const std::int64_t steps = 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.ensemble_rollout(init, forcings, steps, members, opts));
-  }
-  state.SetItemsProcessed(state.iterations() * members * steps);
-}
-BENCHMARK(BM_EnsembleRolloutBf16)
-    ->Args({8, 1})
-    ->Args({8, 8})
-    ->ArgNames({"members", "batch"})
-    ->UseRealTime();
-
-// BM_ForecastServer's clients:4/members:4 row with the engine in bf16.
-void BM_ForecastServerBf16(benchmark::State& state) {
-  const int clients = static_cast<int>(state.range(0));
-  const std::int64_t members = state.range(1);
-  core::ModelConfig mc;
-  mc.h = 16;
-  mc.w = 16;
-  mc.in_channels = 12;
-  mc.out_channels = 5;
-  mc.dim = 32;
-  mc.depth = 2;
-  mc.heads = 4;
-  mc.ffn_hidden = 64;
-  mc.win_h = 8;
-  mc.win_w = 8;
-  mc.cond_dim = 32;
-  core::AerisModel model(mc, 1);
-  core::TrigFlowConfig tf;
-  core::TrigSamplerConfig sc;
-  sc.steps = 4;
-  sc.churn = 0.3f;
-  core::ParallelEnsembleEngine engine(model, tf, sc, 7);
-  engine.set_infer_precision(nn::InferPrecision::kBf16);
-  serving::ServerOptions opts;
-  opts.workers = 2;
-  opts.batch = 8;
-  serving::ForecastServer server(engine, opts);
-  Philox rng(8);
-  Tensor init({16, 16, 5});
-  rng.fill_normal(init, 1, 0);
-  Tensor forcing({16, 16, 2});
-  rng.fill_normal(forcing, 1, 1);
-  core::ForcingFn forcings = [&](std::int64_t) { return forcing; };
-  const std::int64_t steps = 2;
-  for (auto _ : state) {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      pool.emplace_back([&, c] {
-        serving::ForecastRequest req;
-        req.init = init;
-        req.forcings_at = forcings;
-        req.members = members;
-        req.steps = steps;
-        req.seed = static_cast<std::uint64_t>(c);
-        benchmark::DoNotOptimize(server.forecast(req));
-      });
-    }
-    for (auto& t : pool) t.join();
-  }
-  state.SetItemsProcessed(state.iterations() * clients * members * steps);
-}
-BENCHMARK(BM_ForecastServerBf16)->Args({4, 4})
-    ->ArgNames({"clients", "members"})
-    ->UseRealTime();
 
 // The few-step distillation payoff, measured at equal members/threads:
 // consistency:0 runs the 10-step TrigFlow teacher (a skill-grade ODE step

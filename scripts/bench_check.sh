@@ -3,22 +3,22 @@
 # fresh JSON run into the build tree (never touching the committed
 # baseline) and compares it against <repo>/BENCH_micro.json with
 # scripts/bench_compare.py, restricted to the rows that gate CI: GEMM,
-# window attention, the conditioning cache, ensemble rollout and the
-# forecast servers (single-process and cluster) plus the elastic
-# park/rejoin cycle. Exits 1 when any hot
-# row is more than 20% slower than the baseline — refresh the baseline
-# with scripts/bench_micro_json.sh when a slowdown is intentional.
+# window attention, ensemble rollout and the forecast servers
+# (single-process and cluster) plus the elastic park/rejoin cycle. Exits
+# 1 when any hot row is more than 20% slower than the baseline — refresh
+# the baseline with scripts/bench_micro_json.sh when a slowdown is
+# intentional.
 #
 # Usage: scripts/bench_check.sh [build_dir]
 # Also wired as a CMake target: cmake --build build --target bench_check
 set -e
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build"}
-hot='BM_Gemm,BM_WindowAttention,BM_CondCache,BM_EnsembleRollout,BM_ForecastServer,BM_ClusterForecastServer,BM_ClusterRejoin'
+hot='BM_Gemm,BM_WindowAttention,BM_EnsembleRollout,BM_ForecastServer,BM_ClusterForecastServer,BM_ClusterRejoin'
 
 cmake --build "$build" -j --target bench_micro
 "$build/bench/bench_micro" \
-  --benchmark_filter='BM_(Gemm|WindowAttention|CondCache|EnsembleRollout|ForecastServer|ClusterForecastServer|ClusterRejoin)' \
+  --benchmark_filter='BM_(Gemm|WindowAttention|EnsembleRollout|ForecastServer|ClusterForecastServer|ClusterRejoin)' \
   --benchmark_out="$build/bench_check.json" \
   --benchmark_out_format=json
 python3 "$repo/scripts/bench_compare.py" "$build/bench_check.json" \

@@ -67,7 +67,7 @@ def main():
         default=None,
         help="comma-separated benchmark-name prefixes; rows matching none "
         "of them are ignored entirely (the hot-row CI gate passes "
-        "BM_Gemm,BM_WindowAttention,BM_CondCache,BM_EnsembleRollout,"
+        "BM_Gemm,BM_WindowAttention,BM_EnsembleRollout,"
         "BM_ForecastServer)",
     )
     args = ap.parse_args()

@@ -8,27 +8,20 @@
 # suite incl. the fault drill — randomized concurrent clients, deadlines,
 # quarantine and queue saturation against one ForecastServer.
 #
-# Both legs also run the inference-hot-path suite: the TSan leg pins the
-# concurrent first-touch of shared bf16 weight packs (double-checked
-# lazy rounding under a shared model) and the per-owner conditioning-cache
-# model (caches must never be shared across engine threads); the ASan leg
-# covers the cache's tensor lifetimes (Mod tensors outlive the stage that
-# inserted them).
-#
 # ASan leg (AERIS_SANITIZE=address): the serving suite again — the server
 # juggles cross-request tensor lifetimes (packs point into other requests'
 # trajectories), which is exactly where use-after-free would hide.
 #
 # Both legs additionally run the consistency suite: mixed teacher/student
-# clients share one engine (and one per-worker conditioning cache) across
-# server workers, and the distiller's EMA-target refresh is the one place
-# a model's weights mutate while a cache generation is live.
+# clients share one engine across server workers, and the distiller's
+# EMA-target refresh is the one place a model's weights mutate between
+# forwards.
 #
 # Both legs also run the multimodel suite: the randomized mixed-variant
 # pack-purity drill plus concurrent clients spread across a model zoo —
 # distinct engines (some sharing backbone weight storage) routed through
-# one server, where a pack that mixed variants or a cache entry that
-# crossed models would surface as a race or a lifetime bug.
+# one server, where a pack that mixed variants would surface as a race or
+# a lifetime bug.
 #
 # Both legs also run the cluster suite — worker ranks dying (kills,
 # escaped exceptions, hangs) while leases are in flight is the richest
@@ -44,9 +37,10 @@
 #
 # Both legs also run the tensor suite and the recycle suite. The tensor
 # suite holds the GEMM tile coverage (pack-free A reads of strided
-# sub-blocks, the packed m % 8 tail) and the concurrent-dispatch tests:
-# two application threads issuing threaded GEMMs at once, where the
-# pool's dispatch try-lock is the only thing between them. The recycle
+# sub-blocks, the packed m % 8 tail), the fast transcendental kernels and
+# the concurrent-dispatch tests: two application threads issuing threaded
+# GEMMs at once, where the pool's dispatch try-lock is the only thing
+# between them. The recycle
 # suite covers TensorRecycleScope lifetimes: buffers parked and handed
 # back within a scope, released once at the outermost exit, tensors
 # escaping the scope and freed on another thread, and unwinding out of a
@@ -61,12 +55,12 @@ build=${1:-"$repo/build-tsan"}
 asan_build=${2:-"$repo/build-asan"}
 
 cmake -B "$build" -S "$repo" -DAERIS_SANITIZE=thread
-cmake --build "$build" -j --target test_tensor test_recycle test_swipe test_core test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
+cmake --build "$build" -j --target test_tensor test_recycle test_swipe test_core test_serving test_consistency test_multimodel test_cluster test_elastic
 # TSan aborts the process on the first race (halt_on_error), so a clean
 # exit means a clean suite. The timeout backstops comm deadlocks.
 TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
   timeout 600 "$build/tests/test_tensor"
-echo "TSan tensor suite (GEMM tiles, concurrent pool dispatch) clean"
+echo "TSan tensor suite (GEMM tiles, fast math, concurrent pool dispatch) clean"
 TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
   timeout 600 "$build/tests/test_recycle"
 echo "TSan recycle suite clean"
@@ -81,9 +75,6 @@ TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
   timeout 600 "$build/tests/test_serving"
 echo "TSan serving suite (incl. fault drill) clean"
 TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_infer_hotpath"
-echo "TSan inference-hot-path suite (bf16 pack first-touch, cond cache) clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
   timeout 600 "$build/tests/test_consistency"
 echo "TSan consistency suite (mixed teacher/student serving) clean"
 TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
@@ -97,19 +88,16 @@ TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
 echo "TSan elastic suite (incl. park/un-park chaos soak) clean"
 
 cmake -B "$asan_build" -S "$repo" -DAERIS_SANITIZE=address
-cmake --build "$asan_build" -j --target test_tensor test_recycle test_serving test_infer_hotpath test_consistency test_multimodel test_cluster test_elastic
+cmake --build "$asan_build" -j --target test_tensor test_recycle test_serving test_consistency test_multimodel test_cluster test_elastic
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_tensor"
-echo "ASan tensor suite (GEMM tiles, concurrent pool dispatch) clean"
+echo "ASan tensor suite (GEMM tiles, fast math, concurrent pool dispatch) clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_recycle"
 echo "ASan recycle suite clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_serving"
 echo "ASan serving suite clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_infer_hotpath"
-echo "ASan inference-hot-path suite clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_consistency"
 echo "ASan consistency suite clean"

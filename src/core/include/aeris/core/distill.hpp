@@ -6,7 +6,6 @@
 #include "aeris/core/model.hpp"
 #include "aeris/core/sampler.hpp"
 #include "aeris/core/trainer.hpp"
-#include "aeris/nn/cond_cache.hpp"
 #include "aeris/nn/optimizer.hpp"
 
 namespace aeris::core {
@@ -55,12 +54,6 @@ struct DistillConfig {
 /// (kDiffusionNoise, images_seen + i) — both keyed only by the global
 /// sample index, so SWiPe ranks sharing the seed regenerate identical
 /// draws regardless of batch partitioning, exactly like Trainer.
-///
-/// Conditioning caches: the teacher is frozen, so its CondCache stays at
-/// generation 0 and its rows (keyed by the few discrete schedule times)
-/// stay valid for the distiller's whole life. The EMA target network's
-/// weights move every optimizer step, so its cache generation is bumped
-/// after each update — stale rows stop being hit without a clear.
 class ConsistencyDistiller {
  public:
   /// `student` is trained in place; `teacher` must share its architecture
@@ -91,10 +84,9 @@ class ConsistencyDistiller {
   float objective_forward_backward(std::span<const TrainExample> batch,
                                    bool compute_grads);
   /// velocity(x, t) = sigma_d * F_model(x / sigma_d, t) at batch 1 for a
-  /// frozen model, with that model's conditioning cache.
-  Tensor frozen_velocity(const AerisModel& model, nn::CondCache& cache,
-                         const Tensor& x, float t, const Tensor& prev,
-                         const Tensor& forcings) const;
+  /// frozen model.
+  Tensor frozen_velocity(const AerisModel& model, const Tensor& x, float t,
+                         const Tensor& prev, const Tensor& forcings) const;
 
   AerisModel& student_;
   const AerisModel& teacher_;
@@ -104,8 +96,6 @@ class ConsistencyDistiller {
   nn::EMA ema_;
   Philox rng_;
   std::vector<float> ts_;  ///< teacher discretization (steps+1, last 0)
-  nn::CondCache teacher_cache_;
-  nn::CondCache target_cache_;
   std::int64_t images_seen_ = 0;
 };
 

@@ -85,11 +85,6 @@ class ParallelEnsembleEngine {
   /// slot's result is bitwise-identical to the serial forecast_step with
   /// the same seed/key/solver steps.
   ///
-  /// `cache` is an optional caller-owned conditioning cache (one per
-  /// driving thread — engine worker, server worker); nullptr falls back to
-  /// a call-local cache when caching is enabled. Degraded packs re-key
-  /// automatically: an override changes the schedule's t values and with
-  /// them every cache key.
   /// `kind` selects the sampler family for this pack: nullopt runs the
   /// engine's default (sampler_kind()); kConsistency requires either a
   /// consistency-constructed engine or an attached student
@@ -99,7 +94,6 @@ class ParallelEnsembleEngine {
   /// consistency evaluation count instead of the ODE step count.
   std::vector<Tensor> step_pack(std::span<const MemberSlot> pack,
                                 int solver_steps_override = 0,
-                                nn::CondCache* cache = nullptr,
                                 std::optional<SamplerKind> kind =
                                     std::nullopt) const;
 
@@ -111,8 +105,7 @@ class ParallelEnsembleEngine {
   /// Call before sharing the engine across threads.
   /// AERIS_SAMPLER=consistency additionally makes the student the engine's
   /// *default* path (requests that don't name a sampler get the few-step
-  /// solve), mirroring the AERIS_INFER_PRECISION opt-in idiom; any other
-  /// value leaves the teacher ODE as the default.
+  /// solve); any other value leaves the teacher ODE as the default.
   void set_consistency(const AerisModel* student,
                        const ConsistencySamplerConfig& cfg) {
     student_ = student;
@@ -129,13 +122,6 @@ class ParallelEnsembleEngine {
   }
   /// Default sampler family (what nullopt `kind` resolves to).
   SamplerKind sampler_kind() const { return default_kind_; }
-
-  /// Inference compute precision for the stacked model forwards. Defaults
-  /// from AERIS_INFER_PRECISION (fp32 unless "bf16"). Set before sharing
-  /// the engine across threads; the pre-rounded bf16 weights themselves
-  /// are built once and shared read-only.
-  void set_infer_precision(nn::InferPrecision p) { precision_ = p; }
-  nn::InferPrecision infer_precision() const { return precision_; }
 
   Parameterization parameterization() const { return param_; }
   /// The shared read-only model (exposed so the serving layer can validate
@@ -156,8 +142,7 @@ class ParallelEnsembleEngine {
   /// through a single stacked solve; returns the next states.
   std::vector<Tensor> step_chunk(const std::vector<Tensor>& states,
                                  const Tensor& forcings, std::int64_t m0,
-                                 std::int64_t step,
-                                 nn::CondCache* cache) const;
+                                 std::int64_t step) const;
 
   const AerisModel& model_;
   Parameterization param_;
@@ -170,7 +155,6 @@ class ParallelEnsembleEngine {
   const AerisModel* student_ = nullptr;  ///< consistency model; null = model_
   bool has_consistency_ = false;
   Philox rng_;
-  nn::InferPrecision precision_ = nn::infer_precision_from_env();
 };
 
 }  // namespace aeris::core

@@ -5,7 +5,6 @@
 
 #include "aeris/core/model.hpp"
 #include "aeris/core/sampler.hpp"
-#include "aeris/nn/cond_cache.hpp"
 
 namespace aeris::core {
 
@@ -46,17 +45,6 @@ class DiffusionForecaster {
   Tensor forecast_step(const Tensor& prev, const Tensor& forcings,
                        std::uint64_t member, std::int64_t step) const;
 
-  /// Same, reusing the caller's conditioning cache across calls (rollouts
-  /// pass one cache down their whole trajectory; `cache` may be nullptr).
-  Tensor forecast_step(const Tensor& prev, const Tensor& forcings,
-                       std::uint64_t member, std::int64_t step,
-                       nn::CondCache* cache) const;
-
-  /// Inference compute precision for the model forwards this forecaster
-  /// issues. Defaults from AERIS_INFER_PRECISION (fp32 unless "bf16").
-  void set_infer_precision(nn::InferPrecision p) { precision_ = p; }
-  nn::InferPrecision infer_precision() const { return precision_; }
-
   /// Full rollout: returns n_steps states (not including the initial
   /// condition).
   std::vector<Tensor> rollout(const Tensor& init, const ForcingFn& forcings_at,
@@ -83,7 +71,6 @@ class DiffusionForecaster {
   EdmSamplerConfig edm_sampler_{};
   ConsistencySamplerConfig cons_sampler_{};
   Philox rng_;
-  nn::InferPrecision precision_ = nn::infer_precision_from_env();
 };
 
 /// Deterministic (GraphCast/FourCastNet-class) baseline: the same backbone

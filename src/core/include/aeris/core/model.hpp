@@ -82,13 +82,6 @@ class AerisModel {
   /// (streaming attention, nothing retained).
   Tensor forward(const Tensor& x, const Tensor& t) const;
 
-  /// Inference convenience with a per-forecast conditioning cache (may be
-  /// nullptr) and an explicit compute precision. The cache only engages
-  /// when every entry of `t` is one value — always true for solver stages;
-  /// per-sample training times fall through to the plain path.
-  Tensor forward(const Tensor& x, const Tensor& t, nn::CondCache* cache,
-                 nn::InferPrecision prec = nn::InferPrecision::kFp32) const;
-
   /// dy: [B, H, W, Cout]. Returns dL/dx and accumulates parameter grads,
   /// consuming the activations deposited in `ctx` by the matching forward.
   Tensor backward(const Tensor& dy, nn::FwdCtx& ctx);

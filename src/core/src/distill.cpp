@@ -103,15 +103,13 @@ ConsistencyDistiller::ConsistencyDistiller(AerisModel& student,
 }
 
 Tensor ConsistencyDistiller::frozen_velocity(const AerisModel& model,
-                                             nn::CondCache& cache,
                                              const Tensor& x, float t,
                                              const Tensor& prev,
                                              const Tensor& forcings) const {
   const float sd = cfg_.trigflow.sigma_d;
   Tensor xin = scale(x, 1.0f / sd);  // F takes x_t / sigma_d
   Tensor input = build_input(xin, prev, forcings);
-  Tensor f = model.forward(input, Tensor({1}, t),
-                           nn::cond_cache_enabled() ? &cache : nullptr);
+  Tensor f = model.forward(input, Tensor({1}, t));
   Tensor v = std::move(f).reshaped({f.dim(1), f.dim(2), f.dim(3)});
   scale_(v, sd);  // velocity = sigma_d * F
   return v;
@@ -166,12 +164,11 @@ float ConsistencyDistiller::objective_forward_backward(
     // One frozen-teacher midpoint ODE step x_t -> x_s — the exact
     // two-stage update sample_trigflow applies at inference.
     const float t_mid = 0.5f * (t + s);
-    Tensor k1 =
-        frozen_velocity(teacher_, teacher_cache_, x_t, t, ex.prev, ex.forcings);
+    Tensor k1 = frozen_velocity(teacher_, x_t, t, ex.prev, ex.forcings);
     Tensor x_mid = x_t;
     axpy_(x_mid, t_mid - t, k1);
-    Tensor k2 = frozen_velocity(teacher_, teacher_cache_, x_mid, t_mid, ex.prev,
-                                ex.forcings);
+    Tensor k2 =
+        frozen_velocity(teacher_, x_mid, t_mid, ex.prev, ex.forcings);
     Tensor x_s = x_t;
     axpy_(x_s, s - t, k2);
 
@@ -181,8 +178,7 @@ float ConsistencyDistiller::objective_forward_backward(
     if (s == 0.0f) {
       y = std::move(x_s);
     } else {
-      Tensor vt = frozen_velocity(target_, target_cache_, x_s, s, ex.prev,
-                                  ex.forcings);
+      Tensor vt = frozen_velocity(target_, x_s, s, ex.prev, ex.forcings);
       y = scale(x_s, std::cos(s));
       axpy_(y, -std::sin(s), vt);
     }
@@ -261,11 +257,7 @@ float ConsistencyDistiller::distill_step(std::span<const TrainExample> batch) {
   opt_.step(lr);
   images_seen_ += static_cast<std::int64_t>(batch.size());
   ema_.update(student_.params(), static_cast<std::int64_t>(batch.size()));
-  // Refresh the EMA target network and invalidate its conditioning rows:
-  // bumping the generation re-keys future lookups, so rows cached under
-  // the previous weights can never be hit again.
   ema_.copy_to(target_.params());
-  target_cache_.set_generation(target_cache_.generation() + 1);
   return loss;
 }
 

@@ -85,7 +85,7 @@ ParallelEnsembleEngine::ParallelEnsembleEngine(
 
 std::vector<Tensor> ParallelEnsembleEngine::step_pack(
     std::span<const MemberSlot> pack, int solver_steps_override,
-    nn::CondCache* cache, std::optional<SamplerKind> kind) const {
+    std::optional<SamplerKind> kind) const {
   if (pack.empty()) return {};
   // Every forward of this solve frees and re-allocates the same activation
   // shapes: recycle them on this thread until the solve returns.
@@ -97,11 +97,6 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
         "sampler (construct with ConsistencySamplerConfig or attach a "
         "student via set_consistency)");
   }
-  // No caller-owned cache: use a call-local one so at least the stages
-  // this solve revisits (EDM's Heun evaluates each interior sigma twice)
-  // hit. Call-local state keeps the const/concurrent contract trivially.
-  nn::CondCache local_cache;
-  if (cache == nullptr && nn::cond_cache_enabled()) cache = &local_cache;
   const Shape& shape = pack.front().prev->shape();  // [H, W, V]
   for (const MemberSlot& slot : pack) {
     if (slot.prev == nullptr || slot.forcings == nullptr) {
@@ -134,7 +129,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
     const float sd = trigflow_.config().sigma_d;
     DenoiserFn velocity = [&](const Tensor& x, float t) {
       Tensor input = build_packed_input(x, 1.0f / sd, pack);
-      Tensor f = net.forward(input, Tensor({e}, t), cache, precision_);
+      Tensor f = net.forward(input, Tensor({e}, t));
       scale_(f, sd);  // velocity = sigma_d * F
       return f;
     };
@@ -147,7 +142,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
     DenoiserFn velocity = [&](const Tensor& x, float t) {
       // x: [E, H, W, V] — slab m is member m's x_t.
       Tensor input = build_packed_input(x, 1.0f / sd, pack);
-      Tensor f = model_.forward(input, Tensor({e}, t), cache, precision_);
+      Tensor f = model_.forward(input, Tensor({e}, t));
       scale_(f, sd);  // velocity = sigma_d * F
       return f;
     };
@@ -158,7 +153,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
     if (solver_steps_override > 0) sc.steps = solver_steps_override;
     DenoiserFn network = [&](const Tensor& xin, float t) {
       Tensor input = build_packed_input(xin, 1.0f, pack);
-      return model_.forward(input, Tensor({e}, t), cache, precision_);
+      return model_.forward(input, Tensor({e}, t));
     };
     residual = sample_edm_batched(network, shape, edm_, sc,
                                   std::span<const MemberKey>(keys));
@@ -175,7 +170,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_pack(
 
 std::vector<Tensor> ParallelEnsembleEngine::step_chunk(
     const std::vector<Tensor>& states, const Tensor& forcings, std::int64_t m0,
-    std::int64_t step, nn::CondCache* cache) const {
+    std::int64_t step) const {
   // The per-member key matches DiffusionForecaster::forecast_step, so the
   // stacked solve consumes exactly the serial noise streams.
   std::vector<MemberSlot> slots(states.size());
@@ -186,7 +181,7 @@ std::vector<Tensor> ParallelEnsembleEngine::step_chunk(
         rng_.seed(), (static_cast<std::uint64_t>(m0) + m) * 4096 +
                          static_cast<std::uint64_t>(step)};
   }
-  return step_pack(slots, 0, cache);
+  return step_pack(slots);
 }
 
 std::vector<std::vector<Tensor>> ParallelEnsembleEngine::ensemble_rollout(
@@ -207,15 +202,9 @@ std::vector<std::vector<Tensor>> ParallelEnsembleEngine::ensemble_rollout(
 
   auto run_chunk = [&](std::int64_t m0, std::int64_t m1) {
     const std::int64_t e = m1 - m0;
-    // Chunk-local conditioning cache: every forecast step of every member
-    // replays the same solver schedule, so after the first solve all
-    // conditioning forwards are hits. Chunks never share a cache, keeping
-    // multi-driver workers lock-free.
-    nn::CondCache cache;
-    nn::CondCache* cp = nn::cond_cache_enabled() ? &cache : nullptr;
     std::vector<Tensor> states(static_cast<std::size_t>(e), init);
     for (std::int64_t s = 0; s < n_steps; ++s) {
-      states = step_chunk(states, forcings_at(s), m0, s, cp);
+      states = step_chunk(states, forcings_at(s), m0, s);
       for (std::int64_t m = 0; m < e; ++m) {
         out[static_cast<std::size_t>(m0 + m)].push_back(
             states[static_cast<std::size_t>(m)]);

@@ -56,18 +56,6 @@ Tensor DiffusionForecaster::forecast_step(const Tensor& prev,
                                           const Tensor& forcings,
                                           std::uint64_t member,
                                           std::int64_t step) const {
-  // One-shot call: own a step-local cache (reused across the solver stages
-  // of this step — EDM's Heun overlap and TrigFlow re-visits both hit).
-  nn::CondCache cache;
-  return forecast_step(prev, forcings, member, step,
-                       nn::cond_cache_enabled() ? &cache : nullptr);
-}
-
-Tensor DiffusionForecaster::forecast_step(const Tensor& prev,
-                                          const Tensor& forcings,
-                                          std::uint64_t member,
-                                          std::int64_t step,
-                                          nn::CondCache* cache) const {
   if (prev.ndim() != 3) {
     throw std::invalid_argument("forecast_step: prev must be [H,W,V]");
   }
@@ -82,7 +70,7 @@ Tensor DiffusionForecaster::forecast_step(const Tensor& prev,
     DenoiserFn velocity = [&](const Tensor& x, float t) {
       Tensor xin = scale(x, 1.0f / sd);  // F takes x_t / sigma_d
       Tensor input = build_input(xin, prev, forcings);
-      Tensor f = model_.forward(input, Tensor({1}, t), cache, precision_);
+      Tensor f = model_.forward(input, Tensor({1}, t));
       Tensor v = squeeze_batch(std::move(f));
       scale_(v, sd);  // velocity = sigma_d * F
       return v;
@@ -95,7 +83,7 @@ Tensor DiffusionForecaster::forecast_step(const Tensor& prev,
   } else {
     DenoiserFn network = [&](const Tensor& xin, float t) {
       Tensor input = build_input(xin, prev, forcings);
-      Tensor f = model_.forward(input, Tensor({1}, t), cache, precision_);
+      Tensor f = model_.forward(input, Tensor({1}, t));
       return squeeze_batch(std::move(f));
     };
     residual = sample_edm(network, prev.shape(), edm_, edm_sampler_, rng_,
@@ -110,13 +98,9 @@ std::vector<Tensor> DiffusionForecaster::rollout(const Tensor& init,
                                                  std::uint64_t member) const {
   std::vector<Tensor> out;
   out.reserve(static_cast<std::size_t>(n_steps));
-  // One cache spans the whole trajectory: every forecast step replays the
-  // same solver schedule, so stages after the first step's are all hits.
-  nn::CondCache cache;
-  nn::CondCache* cp = nn::cond_cache_enabled() ? &cache : nullptr;
   Tensor state = init;
   for (std::int64_t s = 0; s < n_steps; ++s) {
-    state = forecast_step(state, forcings_at(s), member, s, cp);
+    state = forecast_step(state, forcings_at(s), member, s);
     out.push_back(state);
   }
   return out;

@@ -1,10 +1,8 @@
 #include "aeris/core/model.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
-#include "aeris/nn/cond_cache.hpp"
 
 namespace aeris::core {
 namespace {
@@ -148,23 +146,6 @@ Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
   if (ctx.training()) ctx.slot<ModelCache>(id_).batch = batch;
   const std::int64_t nwin = cfg_.windows();
 
-  // Publish the conditioning-cache key for this call: solver stages drive
-  // the whole batch with one t (the schedule is per-pack, never per
-  // member), in which case its bit pattern identifies the stage exactly.
-  // Mixed-t batches (per-sample training times) keep the cache inactive.
-  ctx.clear_cond_key();
-  if (ctx.inference() && ctx.cond_cache() != nullptr) {
-    std::uint32_t bits0;
-    std::memcpy(&bits0, t.data(), sizeof(bits0));
-    bool uniform = true;
-    for (std::int64_t i = 1; i < batch && uniform; ++i) {
-      std::uint32_t bi;
-      std::memcpy(&bi, t.data() + i, sizeof(bi));
-      uniform = bi == bits0;
-    }
-    if (uniform) ctx.set_cond_key(bits0);
-  }
-
   // Add the fixed 2D sinusoidal positional field to every channel.
   Tensor xin = x;
   for (std::int64_t b = 0; b < batch; ++b) {
@@ -197,15 +178,6 @@ Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
 
 Tensor AerisModel::forward(const Tensor& x, const Tensor& t) const {
   nn::FwdCtx ctx(nn::FwdCtx::Mode::kInference);
-  return forward(x, t, ctx);
-}
-
-Tensor AerisModel::forward(const Tensor& x, const Tensor& t,
-                           nn::CondCache* cache,
-                           nn::InferPrecision prec) const {
-  nn::FwdCtx ctx(nn::FwdCtx::Mode::kInference);
-  ctx.set_cond_cache(cache);
-  ctx.set_infer_precision(prec);
   return forward(x, t, ctx);
 }
 

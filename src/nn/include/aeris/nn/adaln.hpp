@@ -36,7 +36,6 @@ class AdaLNHead {
  private:
   std::int64_t dim_;
   Linear head_;
-  LayerId id_;  // CondCache key for this head's modulation row
 };
 
 /// h = x * (1 + scale) + shift, broadcasting [B, dim] modulation over the

@@ -15,13 +15,10 @@ namespace aeris::nn {
 /// ever allocated: window-sized sequences run a fused per-head kernel
 /// (contiguous q/k/v gather, direct SIMD score dot products, full-row
 /// softmax on fast_expf, direct P@V) and longer sequences fall back to the
-/// streaming online-softmax tile path. `bf16_inputs` opts the inference
-/// paths into the bf16 compute policy: q/k/v (and the probabilities fed to
-/// P@V) are rounded to bf16 once, products accumulate in fp32.
+/// streaming online-softmax tile path.
 Tensor attention_core_forward(const Tensor& q, const Tensor& k,
                               const Tensor& v, std::int64_t heads,
-                              Tensor* probs_out = nullptr,
-                              bool bf16_inputs = false);
+                              Tensor* probs_out = nullptr);
 
 /// Backward of attention_core_forward. `probs` is the cached softmax
 /// output; fills dq/dk/dv (allocated to match q/k/v).

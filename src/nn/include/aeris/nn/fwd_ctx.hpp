@@ -31,18 +31,6 @@ class LayerId {
   std::uint64_t v_;
 };
 
-class CondCache;  // cond_cache.hpp — per-forecast conditioning memo
-
-/// Numeric policy for the inference compute path. kBf16 runs Linear and
-/// attention score/value GEMMs on bfloat16-rounded inputs with FP32
-/// accumulation (weights pre-rounded once per model); LayerNorm, modulate,
-/// conditioning and solver arithmetic stay FP32. Opt-in, off by default,
-/// gated by skill parity rather than bitwise equality.
-enum class InferPrecision {
-  kFp32,
-  kBf16,
-};
-
 /// Per-call activation context: the only place forward passes may retain
 /// state for backward.
 ///
@@ -104,37 +92,6 @@ class FwdCtx {
 
   std::size_t slot_count() const { return slots_.size(); }
 
-  /// Attaches a per-forecast conditioning cache. The cache memoizes the
-  /// TimeEmbedding output and every AdaLNHead's modulation row per solver
-  /// stage; it only becomes *active* once the model forward also publishes
-  /// a stage key via set_cond_key (which it does exactly when every sample
-  /// in the batch shares one diffusion time).
-  void set_cond_cache(CondCache* cache) { cond_cache_ = cache; }
-  CondCache* cond_cache() const { return cond_cache_; }
-
-  /// Publishes the current solver stage: `t_bits` is the IEEE-754 bit
-  /// pattern of the batch-uniform diffusion time. Keying by the exact bit
-  /// pattern makes the key bijective with (schedule, stage) — a degraded
-  /// solver-step count produces different t values and therefore different
-  /// keys, so re-keying/invalidation is automatic.
-  void set_cond_key(std::uint32_t t_bits) {
-    cond_key_ = t_bits;
-    cond_key_valid_ = true;
-  }
-  void clear_cond_key() { cond_key_valid_ = false; }
-  /// True when conditioning layers should consult the cache.
-  bool cond_active() const {
-    return cond_cache_ != nullptr && cond_key_valid_;
-  }
-  std::uint32_t cond_key() const { return cond_key_; }
-
-  void set_infer_precision(InferPrecision p) { infer_precision_ = p; }
-  InferPrecision infer_precision() const { return infer_precision_; }
-  /// True when the bf16 inference compute path applies to this call.
-  bool bf16_compute() const {
-    return mode_ == Mode::kInference && infer_precision_ == InferPrecision::kBf16;
-  }
-
  private:
   struct HolderBase {
     virtual ~HolderBase() = default;
@@ -146,10 +103,6 @@ class FwdCtx {
 
   Mode mode_;
   std::unordered_map<std::uint64_t, std::unique_ptr<HolderBase>> slots_;
-  CondCache* cond_cache_ = nullptr;      // not owned; may outlive many ctxs
-  std::uint32_t cond_key_ = 0;
-  bool cond_key_valid_ = false;
-  InferPrecision infer_precision_ = InferPrecision::kFp32;
 };
 
 }  // namespace aeris::nn

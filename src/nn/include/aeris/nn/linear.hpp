@@ -1,9 +1,5 @@
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
-
 #include "aeris/nn/fwd_ctx.hpp"
 #include "aeris/nn/param.hpp"
 #include "aeris/tensor/gemm.hpp"
@@ -38,24 +34,6 @@ class Linear {
   /// Stateless apply (no cache, no grad) for inference-only paths.
   Tensor apply(const Tensor& x) const;
 
-  /// apply() with the bf16 compute policy: the activation is rounded to
-  /// bf16 during GEMM packing, the weight side uses the lazily-built
-  /// bf16-rounded copy (built once per model under a mutex, then shared
-  /// read-only across engine threads), accumulation and the bias add stay
-  /// fp32.
-  Tensor apply_bf16(const Tensor& x) const;
-
-  /// Drops the bf16 weight copy; called automatically by init/init_zero/
-  /// backward. Owners that poke `weight().value` directly without a
-  /// backward (tests, custom loaders) must call this before the next bf16
-  /// forward.
-  void invalidate_bf16_weights() const;
-
-  /// Excludes this layer from the bf16 compute path (conditioning layers
-  /// — adaLN heads, the time trunk — stay fp32 per the precision policy).
-  void set_bf16_eligible(bool eligible) { bf16_eligible_ = eligible; }
-  bool bf16_eligible() const { return bf16_eligible_; }
-
   void collect_params(ParamList& out);
   void collect_params(ConstParamList& out) const;
 
@@ -66,32 +44,12 @@ class Linear {
   bool has_bias() const { return has_bias_; }
 
  private:
-  // One-time bf16 rounding of w_ with double-checked publication. Held by
-  // shared_ptr so Linear stays movable; copies of a Linear (the SWiPe
-  // runtime clones layers) get a *fresh* pack via the custom copy ops so
-  // diverging weight copies can never alias one rounded image.
-  struct Bf16Pack {
-    std::mutex mu;
-    std::atomic<bool> ready{false};
-    Tensor rounded;  // [out, in], every value a bf16-representable float
-  };
-
-  const Tensor& bf16_weights() const;
-
   std::int64_t in_ = 0;
   std::int64_t out_ = 0;
   bool has_bias_ = true;
   Param w_;  // [out, in]
   Param b_;  // [out]
   LayerId id_;
-  bool bf16_eligible_ = true;
-  std::shared_ptr<Bf16Pack> bf16_;
-
- public:
-  Linear(const Linear& other);
-  Linear& operator=(const Linear& other);
-  Linear(Linear&&) = default;
-  Linear& operator=(Linear&&) = default;
 };
 
 }  // namespace aeris::nn

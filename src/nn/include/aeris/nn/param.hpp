@@ -9,8 +9,9 @@
 namespace aeris::nn {
 
 /// A learnable parameter: FP32 master value plus FP32 gradient accumulator
-/// (the paper keeps parameters, primary gradients and reductions in FP32;
-/// only GEMM/attention inputs are BF16 — see §V-A "Mixed precision").
+/// (the paper keeps parameters, primary gradients and reductions in FP32
+/// and feeds BF16 to GEMM/attention; here all compute is FP32 — see
+/// DESIGN.md "Mixed precision policy").
 struct Param {
   std::string name;
   Tensor value;

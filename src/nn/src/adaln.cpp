@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "aeris/nn/cond_cache.hpp"
 #include "aeris/tensor/ops.hpp"
 
 namespace aeris::nn {
@@ -10,30 +9,10 @@ namespace aeris::nn {
 AdaLNHead::AdaLNHead(std::string name, std::int64_t cond_dim, std::int64_t dim)
     : dim_(dim), head_(name + ".adaln", cond_dim, 3 * dim, /*bias=*/true) {
   head_.init_zero();
-  // Conditioning stays fp32 under the bf16 compute policy: modulation
-  // fields multiply every token, so their precision is load-bearing while
-  // their cost (amortized by the CondCache) is negligible.
-  head_.set_bf16_eligible(false);
 }
 
 AdaLNHead::Mod AdaLNHead::forward(const Tensor& cond, FwdCtx& ctx) const {
-  Tensor smg;  // [B, 3*dim]
-  if (ctx.inference() && ctx.cond_active()) {
-    // Stage-cached path. cond_active() guarantees every row of `cond` came
-    // from the same batch-uniform t, so one row stands for all: compute it
-    // at batch 1 on a miss and broadcast. Per-row GEMM + bias are
-    // independent of the batch extent, making this bitwise identical to
-    // the uncached full-batch head.
-    CondCache& cache = *ctx.cond_cache();
-    const Tensor* row = cache.find(id_, ctx.cond_key());
-    if (row == nullptr) {
-      row = cache.insert(id_, ctx.cond_key(),
-                         head_.forward(slice(cond, 0, 0, 1), ctx));
-    }
-    smg = broadcast_row(*row, cond.dim(0));
-  } else {
-    smg = head_.forward(cond, ctx);
-  }
+  const Tensor smg = head_.forward(cond, ctx);  // [B, 3*dim]
   Mod m;
   m.shift = slice(smg, 1, 0, dim_);
   m.scale = slice(smg, 1, dim_, 2 * dim_);

@@ -32,15 +32,11 @@ constexpr std::int64_t kFusedMaxT = 256;
 /// halves the GEMM-call count at window sizes, drops the correction
 /// passes, and swaps std::exp for the vectorizable polynomial exp — the
 /// register-tiled GEMM kernel is kept because it outruns any plain loop
-/// nest by a wide margin even at dh = 8. Under the bf16 policy the GEMM
-/// operands (q, k, v and the unnormalized probabilities) are rounded at
-/// pack time; bf16_round is idempotent, so pre-rounded inputs pass through
-/// unchanged. Serial by design — the caller parallelizes over
-/// (batch, head).
+/// nest by a wide margin even at dh = 8. Serial by design — the caller
+/// parallelizes over (batch, head).
 void fused_head_forward(const float* q, const float* k, const float* v,
                         std::int64_t t, std::int64_t row_stride,
-                        std::int64_t dh, float scale, GemmPrecision prec,
-                        float* out) {
+                        std::int64_t dh, float scale, float* out) {
   ScratchArena& arena = ScratchArena::for_current_thread();
   ScratchArena::Scope scope(arena);
   float* s = arena.alloc_floats(t * t);
@@ -48,7 +44,7 @@ void fused_head_forward(const float* q, const float* k, const float* v,
 
   // s = scale * Q @ K^T   (t x t)
   gemm_serial(false, true, t, t, dh, scale, q, row_stride, k, row_stride,
-              0.0f, s, t, prec);
+              0.0f, s, t);
 
   for (std::int64_t i = 0; i < t; ++i) {
     float* srow = s + i * t;
@@ -76,7 +72,7 @@ void fused_head_forward(const float* q, const float* k, const float* v,
 
   // out = P @ V  (t x dh), unnormalized; then scale each row by 1/rowsum.
   gemm_serial(false, false, t, dh, t, 1.0f, s, t, v, row_stride, 0.0f, out,
-              row_stride, prec);
+              row_stride);
   for (std::int64_t i = 0; i < t; ++i) {
     float* dst = out + i * row_stride;
     for (std::int64_t d = 0; d < dh; ++d) dst[d] *= inv[i];
@@ -95,8 +91,7 @@ struct AttnCache {
 /// GEMMs are serial — the caller parallelizes over (batch, head).
 void streaming_head_forward(const float* q, const float* k, const float* v,
                             std::int64_t t, std::int64_t row_stride,
-                            std::int64_t dh, float scale, GemmPrecision prec,
-                            float* out) {
+                            std::int64_t dh, float scale, float* out) {
   ScratchArena& arena = ScratchArena::for_current_thread();
   ScratchArena::Scope scope(arena);
   const std::int64_t qb_max = std::min(kQBlock, t);
@@ -118,8 +113,7 @@ void streaming_head_forward(const float* q, const float* k, const float* v,
       const std::int64_t kb = std::min(kb_max, t - k0);
       // s = scale * Q_blk @ K_blk^T   (qb x kb)
       gemm_serial(false, true, qb, kb, dh, scale, q + q0 * row_stride,
-                  row_stride, k + k0 * row_stride, row_stride, 0.0f, s, kb_max,
-                  prec);
+                  row_stride, k + k0 * row_stride, row_stride, 0.0f, s, kb_max);
       // Online softmax update per row.
       for (std::int64_t i = 0; i < qb; ++i) {
         float* srow = s + i * kb_max;
@@ -144,7 +138,7 @@ void streaming_head_forward(const float* q, const float* k, const float* v,
       }
       // oacc += P_blk @ V_blk   (qb x dh)
       gemm_serial(false, false, qb, dh, kb, 1.0f, s, kb_max,
-                  v + k0 * row_stride, row_stride, 1.0f, oacc, dh, prec);
+                  v + k0 * row_stride, row_stride, 1.0f, oacc, dh);
     }
     for (std::int64_t i = 0; i < qb; ++i) {
       const float inv = 1.0f / row_sum[i];
@@ -159,7 +153,7 @@ void streaming_head_forward(const float* q, const float* k, const float* v,
 
 Tensor attention_core_forward(const Tensor& q, const Tensor& k,
                               const Tensor& v, std::int64_t heads,
-                              Tensor* probs_out, bool bf16_inputs) {
+                              Tensor* probs_out) {
   if (q.ndim() != 3 || q.shape() != k.shape() || q.shape() != v.shape()) {
     throw std::invalid_argument("attention_core: q/k/v must match [B,T,C]");
   }
@@ -167,8 +161,6 @@ Tensor attention_core_forward(const Tensor& q, const Tensor& k,
   if (c % heads != 0) throw std::invalid_argument("attention_core: C % H != 0");
   const std::int64_t dh = c / heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const GemmPrecision prec =
-      bf16_inputs ? GemmPrecision::kBF16 : default_gemm_precision();
 
   Tensor out({b, t, c});
 
@@ -185,10 +177,10 @@ Tensor attention_core_forward(const Tensor& q, const Tensor& k,
         const std::int64_t off = bb * t * c + h * dh;
         if (fused) {
           fused_head_forward(q.data() + off, k.data() + off, v.data() + off,
-                             t, c, dh, scale, prec, out.data() + off);
+                             t, c, dh, scale, out.data() + off);
         } else {
           streaming_head_forward(q.data() + off, k.data() + off,
-                                 v.data() + off, t, c, dh, scale, prec,
+                                 v.data() + off, t, c, dh, scale,
                                  out.data() + off);
         }
       }
@@ -206,10 +198,10 @@ Tensor attention_core_forward(const Tensor& q, const Tensor& k,
       const float* kp = k.data() + bb * t * c + h * dh;
       const float* vp = v.data() + bb * t * c + h * dh;
       float* probs = probs_out->data() + (bb * heads + h) * t * t;
-      gemm(false, true, t, t, dh, scale, qp, c, kp, c, 0.0f, probs, t, prec);
+      gemm(false, true, t, t, dh, scale, qp, c, kp, c, 0.0f, probs, t);
       softmax_rows_inplace(probs, t, t);
       gemm(false, false, t, dh, t, 1.0f, probs, t, vp, c, 0.0f,
-           out.data() + bb * t * c + h * dh, c, prec);
+           out.data() + bb * t * c + h * dh, c);
     }
   }
   return out;
@@ -222,7 +214,6 @@ void attention_core_backward(const Tensor& q, const Tensor& k, const Tensor& v,
   const std::int64_t b = q.dim(0), t = q.dim(1), c = q.dim(2);
   const std::int64_t dh = c / heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const GemmPrecision prec = default_gemm_precision();
 
   dq = Tensor(q.shape());
   dk = Tensor(k.shape());
@@ -236,15 +227,14 @@ void attention_core_backward(const Tensor& q, const Tensor& k, const Tensor& v,
       const float* dop = dout.data() + bb * t * c + h * dh;
       Tensor p({t, t});
       std::copy_n(probs.data() + (bb * heads + h) * t * t, t * t, p.data());
-      gemm(false, true, t, t, dh, 1.0f, dop, c, vp, c, 0.0f, dprobs.data(), t,
-           prec);
+      gemm(false, true, t, t, dh, 1.0f, dop, c, vp, c, 0.0f, dprobs.data(), t);
       gemm(true, false, t, dh, t, 1.0f, p.data(), t, dop, c, 0.0f,
-           dv.data() + bb * t * c + h * dh, c, prec);
+           dv.data() + bb * t * c + h * dh, c);
       Tensor dscores = softmax_lastdim_backward(p, dprobs);
       gemm(false, false, t, dh, t, scale, dscores.data(), t, kp, c, 0.0f,
-           dq.data() + bb * t * c + h * dh, c, prec);
+           dq.data() + bb * t * c + h * dh, c);
       gemm(true, false, t, dh, t, scale, dscores.data(), t, qp, c, 0.0f,
-           dk.data() + bb * t * c + h * dh, c, prec);
+           dk.data() + bb * t * c + h * dh, c);
     }
   }
 }
@@ -286,8 +276,7 @@ Tensor WindowAttention::forward(const Tensor& x, FwdCtx& ctx) const {
     Tensor v = slice(qkv, 2, 2 * dim_, 3 * dim_);
     rope_.apply(q, heads_, coords_);
     rope_.apply(k, heads_, coords_);
-    Tensor attn_out =
-        attention_core_forward(q, k, v, heads_, nullptr, ctx.bf16_compute());
+    Tensor attn_out = attention_core_forward(q, k, v, heads_);
     return proj_.forward(attn_out, ctx);
   }
 

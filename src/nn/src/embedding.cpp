@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "aeris/nn/cond_cache.hpp"
 #include "aeris/nn/swiglu.hpp"
 
 namespace aeris::nn {
@@ -51,10 +50,7 @@ Tensor sinusoidal_features(float t, std::int64_t dim, float max_period) {
 TimeEmbedding::TimeEmbedding(std::string name, std::int64_t feature_dim,
                              std::int64_t cond_dim)
     : feature_dim_(feature_dim),
-      shared_(name + ".shared", feature_dim, cond_dim, /*bias=*/true) {
-  // Conditioning trunk stays fp32 under the bf16 compute policy.
-  shared_.set_bf16_eligible(false);
-}
+      shared_(name + ".shared", feature_dim, cond_dim, /*bias=*/true) {}
 
 void TimeEmbedding::init(const Philox& rng, std::uint64_t index) {
   shared_.init(rng, index);
@@ -63,22 +59,6 @@ void TimeEmbedding::init(const Philox& rng, std::uint64_t index) {
 Tensor TimeEmbedding::forward(const Tensor& t, FwdCtx& ctx) const {
   if (t.ndim() != 1) throw std::invalid_argument("TimeEmbedding: t must be [B]");
   const std::int64_t b = t.dim(0);
-  if (ctx.inference() && ctx.cond_active()) {
-    // Stage-cached path: cond_active() means all entries of t are the one
-    // time whose bits key the cache, so the whole [B, cond_dim] output is
-    // b copies of one row. Batch-1 compute + broadcast is bitwise equal to
-    // the uncached path (row-independent GEMM, per-row bias and SiLU).
-    CondCache& cache = *ctx.cond_cache();
-    const Tensor* row = cache.find(id_, ctx.cond_key());
-    if (row == nullptr) {
-      Tensor f = sinusoidal_features(t[0], feature_dim_);
-      Tensor one =
-          shared_.forward(std::move(f).reshaped({1, feature_dim_}), ctx);
-      for (float& x : one.flat()) x = silu(x);
-      row = cache.insert(id_, ctx.cond_key(), std::move(one));
-    }
-    return broadcast_row(*row, b);
-  }
   Tensor feats({b, feature_dim_});
   for (std::int64_t i = 0; i < b; ++i) {
     const Tensor f = sinusoidal_features(t[i], feature_dim_);

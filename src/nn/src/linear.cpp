@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "aeris/tensor/bf16.hpp"
-
 namespace aeris::nn {
 namespace {
 
@@ -27,66 +25,16 @@ Linear::Linear(std::string name, std::int64_t in_features,
       out_(out_features),
       has_bias_(bias),
       w_(name + ".weight", {out_features, in_features}),
-      b_(bias ? Param(name + ".bias", {out_features}) : Param()),
-      bf16_(std::make_shared<Bf16Pack>()) {}
-
-Linear::Linear(const Linear& other)
-    : in_(other.in_),
-      out_(other.out_),
-      has_bias_(other.has_bias_),
-      w_(other.w_),
-      b_(other.b_),
-      id_(other.id_),
-      bf16_eligible_(other.bf16_eligible_),
-      bf16_(std::make_shared<Bf16Pack>()) {}
-
-Linear& Linear::operator=(const Linear& other) {
-  if (this == &other) return *this;
-  in_ = other.in_;
-  out_ = other.out_;
-  has_bias_ = other.has_bias_;
-  w_ = other.w_;
-  b_ = other.b_;
-  id_ = other.id_;
-  bf16_eligible_ = other.bf16_eligible_;
-  bf16_ = std::make_shared<Bf16Pack>();
-  return *this;
-}
+      b_(bias ? Param(name + ".bias", {out_features}) : Param()) {}
 
 void Linear::init(const Philox& rng, std::uint64_t index) {
   init_normal(w_, rng, index, 1.0f / std::sqrt(static_cast<float>(in_)));
   if (has_bias_) b_.value.fill(0.0f);
-  invalidate_bf16_weights();
 }
 
 void Linear::init_zero() {
   w_.value.fill(0.0f);
   if (has_bias_) b_.value.fill(0.0f);
-  invalidate_bf16_weights();
-}
-
-void Linear::invalidate_bf16_weights() const {
-  Bf16Pack& p = *bf16_;
-  std::lock_guard<std::mutex> lock(p.mu);
-  p.ready.store(false, std::memory_order_release);
-  p.rounded = Tensor();
-}
-
-const Tensor& Linear::bf16_weights() const {
-  Bf16Pack& p = *bf16_;
-  if (!p.ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(p.mu);
-    if (!p.ready.load(std::memory_order_relaxed)) {
-      Tensor r(w_.value.shape());
-      const float* src = w_.value.data();
-      float* dst = r.data();
-      const std::int64_t n = r.numel();
-      for (std::int64_t i = 0; i < n; ++i) dst[i] = bf16_round(src[i]);
-      p.rounded = std::move(r);
-      p.ready.store(true, std::memory_order_release);
-    }
-  }
-  return p.rounded;
 }
 
 Tensor Linear::apply(const Tensor& x) const {
@@ -97,32 +45,9 @@ Tensor Linear::apply(const Tensor& x) const {
   }
   const std::int64_t rows = x.numel() / in_;
   Tensor y(with_last(x.shape(), out_));
-  // y = x @ W^T in the configured mixed precision.
+  // y = x @ W^T
   gemm(false, true, rows, out_, in_, 1.0f, x.data(), in_, w_.value.data(), in_,
-       0.0f, y.data(), out_, default_gemm_precision());
-  if (has_bias_) {
-    float* py = y.data();
-    const float* pb = b_.value.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = 0; c < out_; ++c) py[r * out_ + c] += pb[c];
-    }
-  }
-  return y;
-}
-
-Tensor Linear::apply_bf16(const Tensor& x) const {
-  if (x.dim(-1) != in_) {
-    throw std::invalid_argument(w_.name + ": expected last dim " +
-                                std::to_string(in_) + ", got " +
-                                shape_to_string(x.shape()));
-  }
-  const std::int64_t rows = x.numel() / in_;
-  Tensor y(with_last(x.shape(), out_));
-  // kBF16A: the activation is rounded during packing; the weight copy was
-  // rounded once at build time and must not be rounded again.
-  const Tensor& wr = bf16_weights();
-  gemm(false, true, rows, out_, in_, 1.0f, x.data(), in_, wr.data(), in_,
-       0.0f, y.data(), out_, GemmPrecision::kBF16A);
+       0.0f, y.data(), out_);
   if (has_bias_) {
     float* py = y.data();
     const float* pb = b_.value.data();
@@ -137,7 +62,6 @@ Tensor Linear::forward(const Tensor& x, FwdCtx& ctx) const {
   // In inference mode the input is only needed for this call; skipping the
   // deposit keeps sampling rollouts free of backward-only retention.
   if (ctx.training()) ctx.slot<LinearCache>(id_).x = x;
-  if (bf16_eligible_ && ctx.bf16_compute()) return apply_bf16(x);
   return apply(x);
 }
 
@@ -153,7 +77,7 @@ Tensor Linear::backward(const Tensor& dy, FwdCtx& ctx) {
   }
   // dW += dY^T @ X   (FP32 accumulation into master grads)
   gemm(true, false, out_, in_, rows, 1.0f, dy.data(), out_, x.data(), in_,
-       1.0f, w_.grad.data(), in_, default_gemm_precision());
+       1.0f, w_.grad.data(), in_);
   if (has_bias_) {
     const float* pdy = dy.data();
     float* pdb = b_.grad.data();
@@ -164,10 +88,7 @@ Tensor Linear::backward(const Tensor& dy, FwdCtx& ctx) {
   // dX = dY @ W
   Tensor dx(x.shape());
   gemm(false, false, rows, in_, out_, 1.0f, dy.data(), out_, w_.value.data(),
-       in_, 0.0f, dx.data(), in_, default_gemm_precision());
-  // The weights are about to change (optimizer step follows backward), so
-  // any bf16 rounding of them is stale.
-  invalidate_bf16_weights();
+       in_, 0.0f, dx.data(), in_);
   return dx;
 }
 

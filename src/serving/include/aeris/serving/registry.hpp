@@ -33,13 +33,7 @@ struct ModelVariant {
 ///
 /// A registry is mutated only while it is being assembled; freeze it
 /// before handing it to a server — RequestLedger, the server workers and
-/// the cluster ranks all read it lock-free. Variants must be
-/// *independently constructed* engines/models (or shared-backbone
-/// variants, whose aliased layers carry identical weights): per-worker
-/// conditioning caches are shared across the zoo, which is collision-free
-/// because LayerIds are process-lifetime unique — but a layer *copy*
-/// preserves its LayerId, so two different models assembled from copies of
-/// the same layers would alias cache rows with different weights.
+/// the cluster ranks all read it lock-free.
 class ModelRegistry {
  public:
   ModelRegistry() = default;

@@ -2,36 +2,20 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "aeris/nn/cond_cache.hpp"
 #include "aeris/serving/wire.hpp"
 #include "aeris/tensor/thread_pool.hpp"
+#include "env.hpp"
 
 namespace aeris::serving {
 namespace {
 
 using Clock = detail::Clock;
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end != v ? parsed : fallback;
-}
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return end != v ? static_cast<std::int64_t>(parsed) : fallback;
-}
+using detail::env_number;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -41,19 +25,19 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
 
 ClusterOptions ClusterOptions::from_env() {
   ClusterOptions o;
-  o.ranks = static_cast<int>(env_i64("AERIS_SERVE_RANKS", o.ranks));
-  o.min_quorum = static_cast<int>(env_i64("AERIS_SERVE_QUORUM", o.min_quorum));
+  o.ranks = env_number("AERIS_SERVE_RANKS", o.ranks);
+  o.min_quorum = env_number("AERIS_SERVE_QUORUM", o.min_quorum);
   o.heartbeat_interval_ms =
-      env_double("AERIS_SERVE_HEARTBEAT_MS", o.heartbeat_interval_ms);
+      env_number("AERIS_SERVE_HEARTBEAT_MS", o.heartbeat_interval_ms);
   // Default the detector to 8x the interval when heartbeats are on and no
   // explicit timeout is configured.
-  o.heartbeat_timeout_ms = env_double(
+  o.heartbeat_timeout_ms = env_number(
       "AERIS_SERVE_HEARTBEAT_TIMEOUT_MS",
       o.heartbeat_interval_ms > 0.0 ? 8.0 * o.heartbeat_interval_ms : 0.0);
-  o.lease_timeout_ms = env_double("AERIS_SERVE_LEASE_MS", o.lease_timeout_ms);
-  o.rejoin = env_i64("AERIS_SERVE_REJOIN", o.rejoin ? 1 : 0) != 0;
-  o.probation_ms = env_double("AERIS_SERVE_PROBATION_MS", o.probation_ms);
-  o.max_ranks = static_cast<int>(env_i64("AERIS_SERVE_MAX_RANKS", o.max_ranks));
+  o.lease_timeout_ms = env_number("AERIS_SERVE_LEASE_MS", o.lease_timeout_ms);
+  o.rejoin = env_number("AERIS_SERVE_REJOIN", o.rejoin ? 1 : 0) != 0;
+  o.probation_ms = env_number("AERIS_SERVE_PROBATION_MS", o.probation_ms);
+  o.max_ranks = env_number("AERIS_SERVE_MAX_RANKS", o.max_ranks);
   o.serve = ServerOptions::from_env();
   return o;
 }
@@ -556,12 +540,6 @@ void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank,
   // runs its packs' kernels inline, which is bitwise-identical.
   SerialRegionGuard guard;
 
-  // Rank-lifetime conditioning cache, same sharing argument as the
-  // single-process server's per-worker cache.
-  nn::CondCache cond_cache;
-  nn::CondCache* cond_cache_ptr =
-      nn::cond_cache_enabled() ? &cond_cache : nullptr;
-
   swipe::PendingMsg work_rx = world.irecv(rank, 0, swipe::kServeWorkTag);
   auto last_beat = Clock::now();
   std::int64_t packs_done = 0;
@@ -654,7 +632,7 @@ void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank,
           *registry_.at(static_cast<std::int64_t>(pack.model)).engine;
       const std::vector<Tensor> next = eng.step_pack(
           std::span<const core::MemberSlot>(slots),
-          pack.solver_steps_override, cond_cache_ptr, pack.kind);
+          pack.solver_steps_override, pack.kind);
       reply = wire::encode_result(pack.pack_id,
                                   std::span<const Tensor>(next));
     } catch (const swipe::PeerFailedError&) {

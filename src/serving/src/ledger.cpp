@@ -2,39 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "aeris/tensor/numerics.hpp"
+#include "env.hpp"
 
 namespace aeris::serving {
 namespace {
 
 using Clock = detail::Clock;
+using detail::env_number;
 
 /// Jitter draws use this stream id on the ledger's private Philox.
 constexpr std::uint64_t kJitterStream = 1;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end != v ? parsed : fallback;
-}
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return end != v ? static_cast<std::int64_t>(parsed) : fallback;
 }
 
 std::exception_ptr status_error(RequestStatus status, const std::string& msg) {
@@ -55,24 +40,24 @@ std::exception_ptr status_error(RequestStatus status, const std::string& msg) {
 
 ServerOptions ServerOptions::from_env() {
   ServerOptions o;
-  o.queue_capacity = env_i64("AERIS_SERVE_QUEUE_CAP", o.queue_capacity);
+  o.queue_capacity = env_number("AERIS_SERVE_QUEUE_CAP", o.queue_capacity);
   o.default_deadline_ms =
-      env_double("AERIS_SERVE_DEADLINE_MS", o.default_deadline_ms);
+      env_number("AERIS_SERVE_DEADLINE_MS", o.default_deadline_ms);
   o.max_retry_backoff_ms =
-      env_double("AERIS_SERVE_RETRY_CAP_MS", o.max_retry_backoff_ms);
+      env_number("AERIS_SERVE_RETRY_CAP_MS", o.max_retry_backoff_ms);
   o.degrade.fallback_wait_threshold_ms =
-      env_double("AERIS_SERVE_DEGRADE_FALLBACK_WAIT_MS",
+      env_number("AERIS_SERVE_DEGRADE_FALLBACK_WAIT_MS",
                  o.degrade.fallback_wait_threshold_ms);
-  o.degrade.est_wait_threshold_ms = env_double(
+  o.degrade.est_wait_threshold_ms = env_number(
       "AERIS_SERVE_DEGRADE_WAIT_MS", o.degrade.est_wait_threshold_ms);
-  o.degrade.degraded_solver_steps = static_cast<int>(env_i64(
-      "AERIS_SERVE_DEGRADE_STEPS", o.degrade.degraded_solver_steps));
+  o.degrade.degraded_solver_steps = env_number(
+      "AERIS_SERVE_DEGRADE_STEPS", o.degrade.degraded_solver_steps);
   o.degrade.max_members =
-      env_i64("AERIS_SERVE_DEGRADE_MEMBERS", o.degrade.max_members);
+      env_number("AERIS_SERVE_DEGRADE_MEMBERS", o.degrade.max_members);
   o.degrade.to_consistency =
-      env_i64("AERIS_SERVE_DEGRADE_TO_CONSISTENCY",
-              o.degrade.to_consistency ? 1 : 0) != 0;
-  o.degrade.cut_wait_threshold_ms = env_double(
+      env_number("AERIS_SERVE_DEGRADE_TO_CONSISTENCY",
+                 o.degrade.to_consistency ? 1 : 0) != 0;
+  o.degrade.cut_wait_threshold_ms = env_number(
       "AERIS_SERVE_DEGRADE_CUT_WAIT_MS", o.degrade.cut_wait_threshold_ms);
   return o;
 }

@@ -4,7 +4,6 @@
 #include <span>
 #include <utility>
 
-#include "aeris/nn/cond_cache.hpp"
 #include "aeris/tensor/thread_pool.hpp"
 
 namespace aeris::serving {
@@ -79,21 +78,6 @@ void ForecastServer::worker_loop(int worker_index) {
   }
   (void)worker_index;
 
-  // Worker-lifetime conditioning cache: packs only ever mix members that
-  // share one solver-step count, and stages are keyed by the exact t bit
-  // pattern, so rows cached from one request's pack are valid for any
-  // other request at the same stage — including after DegradePolicy flips
-  // the step count, which changes every t and thus never aliases keys.
-  // Member identity (seed, member, step) feeds the noise, not the
-  // conditioning, so cross-request sharing of modulation rows is exact.
-  // One cache also serves the whole model zoo: keys fold the layer's
-  // process-lifetime-unique LayerId, so independently constructed variants
-  // never collide, and shared-backbone variants collide only on layers
-  // whose weights are bitwise-identical by construction.
-  nn::CondCache cond_cache;
-  nn::CondCache* cond_cache_ptr =
-      nn::cond_cache_enabled() ? &cond_cache : nullptr;
-
   using Clock = detail::Clock;
   for (;;) {
     if (!ledger_.wait_for_work(std::chrono::milliseconds(10))) return;
@@ -138,7 +122,7 @@ void ForecastServer::worker_loop(int worker_index) {
           request_steps == eng.solver_steps(kind) ? 0 : request_steps;
       try {
         next = eng.step_pack(std::span<const core::MemberSlot>(slots),
-                             override_steps, cond_cache_ptr, kind);
+                             override_steps, kind);
       } catch (...) {
         out.solve_error = std::current_exception();
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace aeris::serving::wire {
@@ -43,17 +44,30 @@ std::uint32_t get_u32(const std::vector<float>& in, std::size_t& pos) {
   return v;
 }
 
+// Lanes not yet consumed. Headers are untrusted, so every reservation is
+// capped by this before anything is allocated.
+std::size_t lanes_left(const std::vector<float>& in, std::size_t pos) {
+  return in.size() - pos;
+}
+
 void put_tensor(std::vector<float>& out, const Tensor& t) {
   out.insert(out.end(), t.flat().begin(), t.flat().end());
 }
 
+// Reads a [d0, d1, d2] tensor whose dims came off u32 lanes. d0 * d1
+// cannot overflow 64 bits, and d2 is divided out of the remaining lanes
+// rather than multiplied in, so a forged shape is rejected before its
+// element count can overflow or exceed the payload.
 Tensor get_tensor(const std::vector<float>& in, std::size_t& pos,
-                  Shape shape) {
-  const auto n = static_cast<std::size_t>(shape_numel(shape));
-  if (pos + n > in.size()) {
-    throw std::runtime_error("wire: truncated tensor field");
-  }
-  Tensor t(std::move(shape));
+                  std::uint32_t d0, std::uint32_t d1, std::uint32_t d2) {
+  const std::uint64_t plane = std::uint64_t{d0} * d1;
+  const bool fits =
+      d2 == 0 ? plane <= static_cast<std::uint64_t>(
+                             std::numeric_limits<std::int64_t>::max())
+              : plane <= lanes_left(in, pos) / d2;
+  if (!fits) throw std::runtime_error("wire: truncated tensor field");
+  const auto n = static_cast<std::size_t>(plane * d2);
+  Tensor t(Shape{d0, d1, d2});
   std::copy_n(in.data() + pos, n, t.data());
   pos += n;
   return t;
@@ -70,7 +84,7 @@ void put_string(std::vector<float>& out, const std::string& s) {
 std::string get_string(const std::vector<float>& in, std::size_t& pos) {
   const std::uint32_t n = get_u32(in, pos);
   std::string s;
-  s.reserve(n);
+  s.reserve(std::min<std::size_t>(n, lanes_left(in, pos)));
   for (std::uint32_t i = 0; i < n; ++i) {
     s.push_back(static_cast<char>(get_u32(in, pos)));
   }
@@ -119,24 +133,27 @@ PackMsg decode_pack(const std::vector<float>& payload) {
   msg.kind = static_cast<core::SamplerKind>(get_u32(payload, pos));
   msg.solver_steps_override = static_cast<int>(get_u32(payload, pos));
   const std::uint32_t n_slots = get_u32(payload, pos);
-  const auto h = static_cast<std::int64_t>(get_u32(payload, pos));
-  const auto w = static_cast<std::int64_t>(get_u32(payload, pos));
-  const auto v = static_cast<std::int64_t>(get_u32(payload, pos));
-  const auto f = static_cast<std::int64_t>(get_u32(payload, pos));
+  const std::uint32_t h = get_u32(payload, pos);
+  const std::uint32_t w = get_u32(payload, pos);
+  const std::uint32_t v = get_u32(payload, pos);
+  const std::uint32_t f = get_u32(payload, pos);
   if (n_slots == 0) {
     msg.shutdown = true;
     return msg;
   }
-  msg.noise.reserve(n_slots);
-  msg.prev.reserve(n_slots);
-  msg.forcings.reserve(n_slots);
+  // A slot is at least its two u64 noise-key fields.
+  const std::size_t fit =
+      std::min<std::size_t>(n_slots, lanes_left(payload, pos) / 4);
+  msg.noise.reserve(fit);
+  msg.prev.reserve(fit);
+  msg.forcings.reserve(fit);
   for (std::uint32_t i = 0; i < n_slots; ++i) {
     core::MemberKey key;
     key.seed = get_u64(payload, pos);
     key.key = get_u64(payload, pos);
     msg.noise.push_back(key);
-    msg.prev.push_back(get_tensor(payload, pos, Shape{h, w, v}));
-    msg.forcings.push_back(get_tensor(payload, pos, Shape{h, w, f}));
+    msg.prev.push_back(get_tensor(payload, pos, h, w, v));
+    msg.forcings.push_back(get_tensor(payload, pos, h, w, f));
   }
   return msg;
 }
@@ -182,12 +199,13 @@ ResultMsg decode_result(const std::vector<float>& payload) {
     return msg;
   }
   const std::uint32_t n = get_u32(payload, pos);
-  msg.next.reserve(n);
+  // An entry is at least its three u32 shape lanes.
+  msg.next.reserve(std::min<std::size_t>(n, lanes_left(payload, pos) / 3));
   for (std::uint32_t i = 0; i < n; ++i) {
-    const auto h = static_cast<std::int64_t>(get_u32(payload, pos));
-    const auto w = static_cast<std::int64_t>(get_u32(payload, pos));
-    const auto v = static_cast<std::int64_t>(get_u32(payload, pos));
-    msg.next.push_back(get_tensor(payload, pos, Shape{h, w, v}));
+    const std::uint32_t h = get_u32(payload, pos);
+    const std::uint32_t w = get_u32(payload, pos);
+    const std::uint32_t v = get_u32(payload, pos);
+    msg.next.push_back(get_tensor(payload, pos, h, w, v));
   }
   return msg;
 }

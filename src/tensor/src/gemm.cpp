@@ -1,17 +1,13 @@
 #include "aeris/tensor/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "aeris/tensor/arena.hpp"
-#include "aeris/tensor/bf16.hpp"
 #include "aeris/tensor/thread_pool.hpp"
 
 namespace aeris {
 namespace {
-
-std::atomic<GemmPrecision> g_default_precision{GemmPrecision::kFP32};
 
 // Register tile: kMR rows x kNR columns of C held in accumulators across
 // the whole K loop. kNR = 32 floats is two AVX-512 vectors, so the tile is
@@ -79,10 +75,10 @@ void micro_kernel(std::int64_t kc, const float* a, std::int64_t rs,
 }
 
 // Packs op(A) (m x k) into ceil(m/kMR) strips of kMR zero-padded rows:
-// dst[s*k*kMR + p*kMR + i] = op(A)[s*kMR + i, p], with optional BF16 input
-// rounding. Zero padding lets the kernel always run a full register tile.
+// dst[s*k*kMR + p*kMR + i] = op(A)[s*kMR + i, p]. Zero padding lets the
+// kernel always run a full register tile.
 void pack_a(bool trans, std::int64_t m, std::int64_t k, const float* a,
-            std::int64_t lda, bool to_bf16, float* dst) {
+            std::int64_t lda, float* dst) {
   const std::int64_t strips = (m + kMR - 1) / kMR;
   for (std::int64_t s = 0; s < strips; ++s) {
     float* out = dst + s * k * kMR;
@@ -95,17 +91,10 @@ void pack_a(bool trans, std::int64_t m, std::int64_t k, const float* a,
       const std::int64_t row = s * kMR + i;
       if (!trans) {
         const float* src = a + row * lda;
-        if (to_bf16) {
-          for (std::int64_t p = 0; p < k; ++p) {
-            out[p * kMR + i] = bf16_round(src[p]);
-          }
-        } else {
-          for (std::int64_t p = 0; p < k; ++p) out[p * kMR + i] = src[p];
-        }
+        for (std::int64_t p = 0; p < k; ++p) out[p * kMR + i] = src[p];
       } else {
         for (std::int64_t p = 0; p < k; ++p) {
-          const float v = a[p * lda + row];
-          out[p * kMR + i] = to_bf16 ? bf16_round(v) : v;
+          out[p * kMR + i] = a[p * lda + row];
         }
       }
     }
@@ -116,7 +105,7 @@ void pack_a(bool trans, std::int64_t m, std::int64_t k, const float* a,
 // the strip for columns [j0, j0 + w) starts at dst + j0 * k and holds
 // dst[j0*k + p*w + j] = op(B)[p, j0 + j].
 void pack_b(bool trans, std::int64_t k, std::int64_t n, const float* b,
-            std::int64_t ldb, bool to_bf16, float* dst) {
+            std::int64_t ldb, float* dst) {
   for (std::int64_t j0 = 0; j0 < n; j0 += kNR) {
     const std::int64_t w = strip_width(n, j0);
     const std::int64_t nr = std::min(w, n - j0);
@@ -125,16 +114,9 @@ void pack_b(bool trans, std::int64_t k, std::int64_t n, const float* b,
       float* row = out + p * w;
       if (!trans) {
         const float* src = b + p * ldb + j0;
-        if (to_bf16) {
-          for (std::int64_t j = 0; j < nr; ++j) row[j] = bf16_round(src[j]);
-        } else {
-          for (std::int64_t j = 0; j < nr; ++j) row[j] = src[j];
-        }
+        for (std::int64_t j = 0; j < nr; ++j) row[j] = src[j];
       } else {
-        for (std::int64_t j = 0; j < nr; ++j) {
-          const float v = b[(j0 + j) * ldb + p];
-          row[j] = to_bf16 ? bf16_round(v) : v;
-        }
+        for (std::int64_t j = 0; j < nr; ++j) row[j] = b[(j0 + j) * ldb + p];
       }
       for (std::int64_t j = nr; j < w; ++j) row[j] = 0.0f;
     }
@@ -143,7 +125,7 @@ void pack_b(bool trans, std::int64_t k, std::int64_t n, const float* b,
 
 // The A operand by row strip: the first `in_place` strips are read
 // straight from row-major `a`; the rest come from `packed` (all strips
-// for transposed or bf16-rounded A, else only the m % kMR tail).
+// for transposed A, else only the m % kMR tail).
 struct AStrips {
   const float* a = nullptr;
   std::int64_t lda = 0;
@@ -182,21 +164,19 @@ void gemm_strips(std::int64_t s0, std::int64_t s1, std::int64_t m,
 void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, float alpha, const float* a, std::int64_t lda,
                const float* b, std::int64_t ldb, float beta, float* c,
-               std::int64_t ldc, GemmPrecision prec, bool threaded) {
+               std::int64_t ldc, bool threaded) {
   if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("gemm: bad dims");
   if (m == 0 || n == 0) return;
-  const bool bf16_a = prec != GemmPrecision::kFP32;
-  const bool bf16_b = prec == GemmPrecision::kBF16;
   const std::int64_t astrips = (m + kMR - 1) / kMR;
   const std::int64_t j_last = (n - 1) / kNR * kNR;  // last B strip
   const std::int64_t bcols = j_last + strip_width(n, j_last);
 
-  // Row-major fp32 A is read in place; only the m % kMR tail (or all of A
-  // when it must be transposed or rounded) is packed. Packing goes to the
-  // caller's arena once; the B panel is read by every row block (and every
-  // pool worker) without being re-packed.
+  // Row-major A is read in place; only the m % kMR tail (or all of A when
+  // it must be transposed) is packed. Packing goes to the caller's arena
+  // once; the B panel is read by every row block (and every pool worker)
+  // without being re-packed.
   AStrips as;
-  if (!trans_a && !bf16_a && k > 0) {
+  if (!trans_a && k > 0) {
     as.a = a;
     as.lda = lda;
     as.in_place = m / kMR;
@@ -208,8 +188,8 @@ void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   as.packed = pa;
   if (k > 0) {
     const std::int64_t r0 = as.in_place * kMR;
-    if (r0 < m) pack_a(trans_a, m - r0, k, a + r0 * lda, lda, bf16_a, pa);
-    pack_b(trans_b, k, n, b, ldb, bf16_b, pb);
+    if (r0 < m) pack_a(trans_a, m - r0, k, a + r0 * lda, lda, pa);
+    pack_b(trans_b, k, n, b, ldb, pb);
   }
 
   if (!threaded) {
@@ -233,21 +213,20 @@ void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, std::int64_t lda,
           const float* b, std::int64_t ldb, float beta, float* c,
-          std::int64_t ldc, GemmPrecision prec) {
+          std::int64_t ldc) {
   gemm_impl(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-            prec, /*threaded=*/true);
+            /*threaded=*/true);
 }
 
 void gemm_serial(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                  std::int64_t k, float alpha, const float* a, std::int64_t lda,
                  const float* b, std::int64_t ldb, float beta, float* c,
-                 std::int64_t ldc, GemmPrecision prec) {
+                 std::int64_t ldc) {
   gemm_impl(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-            prec, /*threaded=*/false);
+            /*threaded=*/false);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
-              GemmPrecision prec) {
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   if (a.ndim() != 2 || b.ndim() != 2) {
     throw std::invalid_argument("matmul: operands must be rank 2");
   }
@@ -262,13 +241,8 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
   }
   Tensor c({m, n});
   gemm(trans_a, trans_b, m, n, k, 1.0f, a.data(), a.dim(1), b.data(), b.dim(1),
-       0.0f, c.data(), n, prec);
+       0.0f, c.data(), n);
   return c;
-}
-
-GemmPrecision default_gemm_precision() { return g_default_precision.load(); }
-void set_default_gemm_precision(GemmPrecision prec) {
-  g_default_precision.store(prec);
 }
 
 }  // namespace aeris

@@ -182,6 +182,31 @@ TEST(ConsistencyDistiller, NonFiniteInputLeavesStateUntouched) {
             0);
 }
 
+// eval_loss keeps nothing: repeating it gives the same loss and leaves the
+// student and the sample counter unchanged, also after distill steps have
+// refreshed the EMA target.
+TEST(ConsistencyDistiller, EvalLossIsPure) {
+  AerisModel teacher = make_teacher(25);
+  AerisModel student(tiny_cfg(), 25);
+  ConsistencyDistiller distiller(student, teacher, fast_distill());
+  std::vector<TrainExample> batch;
+  for (std::uint64_t i = 0; i < 2; ++i) batch.push_back(make_example(i));
+
+  const std::vector<float> weights = nn::flatten_values(student.params());
+  const float l0 = distiller.eval_loss(batch);
+  EXPECT_EQ(distiller.eval_loss(batch), l0);
+  const std::vector<float> after_eval = nn::flatten_values(student.params());
+  ASSERT_EQ(std::memcmp(weights.data(), after_eval.data(),
+                        weights.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(distiller.images_seen(), 0);
+
+  for (int step = 0; step < 3; ++step) distiller.distill_step(batch);
+  const float l1 = distiller.eval_loss(batch);
+  EXPECT_EQ(distiller.eval_loss(batch), l1);
+  EXPECT_EQ(distiller.images_seen(), 6);
+}
+
 TEST(ConsistencyDistiller, MismatchedTeacherThrows) {
   ModelConfig other = tiny_cfg();
   other.dim = 32;
@@ -285,7 +310,7 @@ TEST(ConsistencyEngine, AttachedStudentServesConsistencyPacks) {
   slot.forcings = &forcings;
   slot.noise = MemberKey{seed, 0};
   const auto got =
-      engine.step_pack(std::span<const MemberSlot>(&slot, 1), 0, nullptr,
+      engine.step_pack(std::span<const MemberSlot>(&slot, 1), 0,
                        SamplerKind::kConsistency);
   ASSERT_EQ(got.size(), 1u);
 
@@ -307,6 +332,50 @@ TEST(ConsistencyEngine, AttachedStudentServesConsistencyPacks) {
             0);
 }
 
+// On a consistency pack the solver-step override sets the number of
+// student evaluations: every count matches the serial student forecaster
+// configured with it.
+TEST(ConsistencyEngine, EvaluationOverrideMatchesSerialAtThatCount) {
+  AerisModel teacher = make_teacher(35);
+  AerisModel student = make_teacher(36);
+  TrigFlowConfig tf;
+  TrigSamplerConfig ts;
+  ts.steps = 3;
+  ConsistencySamplerConfig cc;
+  cc.steps = 2;
+  const std::uint64_t seed = 13;
+  ParallelEnsembleEngine engine(teacher, tf, ts, seed);
+  engine.set_consistency(&student, cc);
+
+  const ModelConfig mc = tiny_cfg();
+  Tensor init({mc.h, mc.w, kV});
+  Philox(6).fill_normal(init, 1, 0);
+  Tensor forcings({mc.h, mc.w, kF}, 0.3f);
+  std::vector<MemberSlot> pack(2);
+  for (std::size_t m = 0; m < pack.size(); ++m) {
+    pack[m].prev = &init;
+    pack[m].forcings = &forcings;
+    pack[m].noise = MemberKey{seed, m * 4096 + 1};
+  }
+
+  for (const int evals : {1, 2, 4}) {
+    const auto got = engine.step_pack(pack, evals == cc.steps ? 0 : evals,
+                                      SamplerKind::kConsistency);
+    ASSERT_EQ(got.size(), pack.size());
+    ConsistencySamplerConfig ck = cc;
+    ck.steps = evals;
+    const DiffusionForecaster serial(student, tf, ck, seed);
+    for (std::size_t m = 0; m < pack.size(); ++m) {
+      const Tensor ref = serial.forecast_step(init, forcings, m, 1);
+      ASSERT_EQ(std::memcmp(got[m].data(), ref.data(),
+                            static_cast<std::size_t>(ref.numel()) *
+                                sizeof(float)),
+                0)
+          << "evals=" << evals << " member " << m;
+    }
+  }
+}
+
 TEST(ConsistencyEngine, ConsistencyPackWithoutStudentThrows) {
   AerisModel teacher = make_teacher(35);
   TrigFlowConfig tf;
@@ -321,7 +390,7 @@ TEST(ConsistencyEngine, ConsistencyPackWithoutStudentThrows) {
   slot.forcings = &forcings;
   slot.noise = MemberKey{1, 0};
   EXPECT_THROW(engine.step_pack(std::span<const MemberSlot>(&slot, 1), 0,
-                                nullptr, SamplerKind::kConsistency),
+                                SamplerKind::kConsistency),
                std::invalid_argument);
 }
 

@@ -190,5 +190,120 @@ TEST(ParallelEnsemble, ConcurrentSharedModelInferenceIsRaceFreeAndExact) {
   }
 }
 
+// A pack mixing request seeds, members and autoregressive steps, run with
+// a solver-step override: every slot equals the serial forecaster
+// configured with that step count, and the engine's own count is used
+// again once the override is dropped.
+TEST(ParallelEnsemble, StepPackSolverOverrideMatchesSerialAtThatStepCount) {
+  AerisModel model = make_model(19);
+  TrigFlowConfig tf;
+  TrigSamplerConfig sc;
+  sc.steps = 3;
+  sc.churn = 0.5f;
+  ParallelEnsembleEngine engine(model, tf, sc, 0);
+
+  Philox rng(10);
+  Tensor prev_a({8, 8, 3}), prev_b({8, 8, 3}), forcing({8, 8, 2});
+  rng.fill_normal(prev_a, 1, 0);
+  rng.fill_normal(prev_b, 1, 1);
+  rng.fill_normal(forcing, 2, 0);
+  struct Slot {
+    const Tensor* prev;
+    std::uint64_t seed, member;
+    std::int64_t step;
+  };
+  const Slot slots[] = {{&prev_a, 99, 0, 0},
+                        {&prev_b, 7, 1, 3},
+                        {&prev_a, 99, 2, 1}};
+  std::vector<MemberSlot> pack;
+  for (const Slot& s : slots) {
+    pack.push_back(MemberSlot{
+        s.prev, &forcing,
+        MemberKey{s.seed, s.member * 4096 + static_cast<std::uint64_t>(s.step)}});
+  }
+
+  for (const int steps : {3, 2, 1, 3}) {
+    const auto got = engine.step_pack(pack, steps == sc.steps ? 0 : steps);
+    ASSERT_EQ(got.size(), pack.size());
+    TrigSamplerConfig sk = sc;
+    sk.steps = steps;
+    for (std::size_t i = 0; i < pack.size(); ++i) {
+      const DiffusionForecaster serial(model, tf, sk, slots[i].seed);
+      expect_bitwise_equal(
+          serial.forecast_step(*slots[i].prev, forcing, slots[i].member,
+                               slots[i].step),
+          got[i], "steps " + std::to_string(steps) + " slot " +
+                      std::to_string(i));
+    }
+  }
+}
+
+TEST(ParallelEnsemble, EdmStepPackSolverOverrideMatchesSerialAtThatStepCount) {
+  AerisModel model = make_model(21);
+  EdmConfig edm;
+  EdmSamplerConfig sc;
+  sc.steps = 3;
+  ParallelEnsembleEngine engine(model, edm, sc, 0);
+
+  Philox rng(12);
+  Tensor prev({8, 8, 3}), forcing({8, 8, 2});
+  rng.fill_normal(prev, 1, 0);
+  rng.fill_normal(forcing, 2, 0);
+  const std::uint64_t seeds[] = {31, 32};
+  std::vector<MemberSlot> pack;
+  for (const std::uint64_t seed : seeds) {
+    pack.push_back(MemberSlot{&prev, &forcing, MemberKey{seed, 4096 + 2}});
+  }
+
+  for (const int steps : {2, 3}) {
+    const auto got = engine.step_pack(pack, steps == sc.steps ? 0 : steps);
+    ASSERT_EQ(got.size(), pack.size());
+    EdmSamplerConfig sk = sc;
+    sk.steps = steps;
+    for (std::size_t i = 0; i < pack.size(); ++i) {
+      const DiffusionForecaster serial(model, edm, sk, seeds[i]);
+      expect_bitwise_equal(serial.forecast_step(prev, forcing, 1, 2), got[i],
+                           "edm steps " + std::to_string(steps) + " slot " +
+                               std::to_string(i));
+    }
+  }
+}
+
+// forecast_step is const end to end: concurrent calls on one forecaster
+// give the bits of the same calls made one after another.
+TEST(DiffusionForecaster, ConcurrentForecastStepsMatchSequentialBitwise) {
+  AerisModel model = make_model(23);
+  TrigFlowConfig tf;
+  TrigSamplerConfig sc;
+  sc.steps = 2;
+  const DiffusionForecaster forecaster(model, tf, sc, 5);
+  Philox rng(11);
+  Tensor prev({8, 8, 3}), forcing({8, 8, 2});
+  rng.fill_normal(prev, 1, 0);
+  rng.fill_normal(forcing, 2, 0);
+
+  constexpr int kThreads = 4;
+  std::vector<Tensor> ref;
+  for (int i = 0; i < kThreads; ++i) {
+    ref.push_back(forecaster.forecast_step(
+        prev, forcing, static_cast<std::uint64_t>(i), i));
+  }
+  std::vector<Tensor> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      SerialRegionGuard serial;
+      got[static_cast<std::size_t>(i)] = forecaster.forecast_step(
+          prev, forcing, static_cast<std::uint64_t>(i), i);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int i = 0; i < kThreads; ++i) {
+    expect_bitwise_equal(ref[static_cast<std::size_t>(i)],
+                         got[static_cast<std::size_t>(i)],
+                         "thread " + std::to_string(i));
+  }
+}
+
 }  // namespace
 }  // namespace aeris::core

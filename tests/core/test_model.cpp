@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 
 #include "aeris/tensor/ops.hpp"
 
@@ -189,6 +191,79 @@ TEST(AerisModel, BatchIndependence) {
   Tensor x0 = slice(x, 0, 0, 1);
   Tensor y1 = model.forward(x0, Tensor::from({0.4f}));
   EXPECT_TRUE(slice(y2, 0, 0, 1).allclose(y1, 1e-4f));
+}
+
+/// tiny_cfg() model with non-zero adaLN and head weights, so time and
+/// conditioning reach the output.
+AerisModel conditioned_tiny_model(std::uint64_t seed) {
+  AerisModel model(tiny_cfg(), seed);
+  Philox rng(seed);
+  for (nn::Param* p : model.params()) {
+    if (p->name.find("adaln") != std::string::npos ||
+        p->name.find("head") != std::string::npos) {
+      rng.fill_normal(p->value, 7, 0);
+      scale_(p->value, 0.2f);
+    }
+  }
+  return model;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// A batch may mix diffusion times: every sample is conditioned on its own
+// t, bit for bit as if it ran alone, and repeated (x, t) pairs give equal
+// bits.
+TEST(AerisModel, PerSampleTimesMatchSingleSampleForwardsBitwise) {
+  const AerisModel model = conditioned_tiny_model(5);
+  Philox rng(6);
+  Tensor x0({1, 8, 8, 5}), x1({1, 8, 8, 5});
+  rng.fill_normal(x0, 1, 0);
+  rng.fill_normal(x1, 1, 1);
+  const Tensor* rows[] = {&x0, &x1, &x0};
+  const Tensor x = concat(std::span<const Tensor* const>(rows, 3), 0);
+  const Tensor y = model.forward(x, Tensor::from({0.3f, 1.1f, 0.3f}));
+
+  EXPECT_TRUE(same_bits(slice(y, 0, 0, 1),
+                        model.forward(x0, Tensor::from({0.3f}))));
+  EXPECT_TRUE(same_bits(slice(y, 0, 1, 2),
+                        model.forward(x1, Tensor::from({1.1f}))));
+  EXPECT_TRUE(same_bits(slice(y, 0, 2, 3), slice(y, 0, 0, 1)));
+  // Same input, another time: the conditioning must change the output.
+  EXPECT_FALSE(same_bits(slice(y, 0, 0, 1),
+                         model.forward(x0, Tensor::from({1.1f}))));
+}
+
+// Inference forwards keep no state between calls: a forward repeated after
+// others at different times and batch sizes gives the same bits.
+TEST(AerisModel, ForwardIsIndependentOfCallHistory) {
+  const AerisModel model = conditioned_tiny_model(7);
+  Philox rng(8);
+  Tensor x({2, 8, 8, 5});
+  rng.fill_normal(x, 1, 0);
+  const Tensor t = Tensor::from({0.6f, 0.6f});
+  const Tensor first = model.forward(x, t);
+
+  Tensor other({3, 8, 8, 5});
+  rng.fill_normal(other, 1, 1);
+  (void)model.forward(other, Tensor::from({0.1f, 0.9f, 1.4f}));
+  (void)model.forward(slice(x, 0, 0, 1), Tensor::from({0.2f}));
+  EXPECT_TRUE(same_bits(model.forward(x, t), first));
+}
+
+TEST(AerisModel, InferenceCtxRetainsNothing) {
+  const AerisModel model = conditioned_tiny_model(9);
+  Philox rng(10);
+  Tensor x({2, 8, 8, 5});
+  rng.fill_normal(x, 1, 0);
+  const Tensor t = Tensor::from({0.5f, 1.0f});
+  nn::FwdCtx ctx(nn::FwdCtx::Mode::kInference);
+  const Tensor y = model.forward(x, t, ctx);
+  EXPECT_EQ(ctx.slot_count(), 0u);
+  EXPECT_TRUE(same_bits(y, model.forward(x, t)));
 }
 
 // Frozen inference golden: FNV-1a over the bit patterns of forward()

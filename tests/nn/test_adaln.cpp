@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "aeris/tensor/ops.hpp"
 #include "gradcheck.hpp"
 
@@ -178,6 +182,70 @@ TEST(AdaLN, HeadBackwardFlowsToCond) {
   EXPECT_EQ(dcond.shape(), (Shape{2, 4}));
   EXPECT_GT(max_abs(dcond), 0.0f);
   EXPECT_GT(grad_norm(params), 0.0f);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Each modulation row depends on its own conditioning row only: repeated
+// rows in one batch give bitwise-equal modulation, and every row matches
+// the single-row forward.
+TEST(AdaLN, HeadRowsFollowTheirOwnCondRow) {
+  AdaLNHead head("h", 4, 3);
+  Philox rng(6);
+  ParamList params;
+  head.collect_params(params);
+  for (Param* p : params) rng.fill_normal(p->value, 1, 0);
+
+  Tensor c0({1, 4}), c1({1, 4});
+  rng.fill_normal(c0, 2, 0);
+  rng.fill_normal(c1, 2, 1);
+  const Tensor* rows[] = {&c0, &c1, &c0};
+  const Tensor cond = concat(std::span<const Tensor* const>(rows, 3), 0);
+  FwdCtx ctx(FwdCtx::Mode::kInference);
+  const AdaLNHead::Mod mod = head.forward(cond, ctx);
+  const AdaLNHead::Mod m0 = head.forward(c0, ctx);
+  const AdaLNHead::Mod m1 = head.forward(c1, ctx);
+
+  for (const auto field : {&AdaLNHead::Mod::shift, &AdaLNHead::Mod::scale,
+                           &AdaLNHead::Mod::gate}) {
+    const Tensor& f = mod.*field;
+    EXPECT_TRUE(same_bits(slice(f, 0, 0, 1), m0.*field));
+    EXPECT_TRUE(same_bits(slice(f, 0, 1, 2), m1.*field));
+    EXPECT_TRUE(same_bits(slice(f, 0, 2, 3), m0.*field));
+    EXPECT_FALSE(same_bits(slice(f, 0, 0, 1), slice(f, 0, 1, 2)));
+  }
+}
+
+// Two samples of two windows each: window b takes modulation row b / 2.
+TEST(AdaLN, ModulationPicksEachSamplesRowForItsWindows) {
+  AdaLNHead::Mod mod;
+  mod.shift = Tensor({2, 2}, std::vector<float>{1, 2, -1, -2});
+  mod.scale = Tensor({2, 2}, std::vector<float>{0, 1, 2, 3});
+  mod.gate = Tensor({2, 2}, std::vector<float>{0.5f, 0.5f, -1, 2});
+  Tensor x({4, 3, 2});
+  Philox rng(7);
+  rng.fill_normal(x, 1, 0);
+  Tensor y({4, 3, 2});
+  rng.fill_normal(y, 1, 1);
+
+  const Tensor h = modulate(x, mod, 2);
+  const Tensor out = apply_gate(x, y, mod.gate, 2);
+  for (std::int64_t b = 0; b < 4; ++b) {
+    const std::int64_t s = b / 2;
+    for (std::int64_t t = 0; t < 3; ++t) {
+      for (std::int64_t c = 0; c < 2; ++c) {
+        EXPECT_FLOAT_EQ(h.at3(b, t, c),
+                        x.at3(b, t, c) * (1.0f + mod.scale.at2(s, c)) +
+                            mod.shift.at2(s, c));
+        EXPECT_FLOAT_EQ(out.at3(b, t, c),
+                        x.at3(b, t, c) + mod.gate.at2(s, c) * y.at3(b, t, c));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "aeris/tensor/arena.hpp"
 #include "aeris/tensor/ops.hpp"
+#include "aeris/tensor/thread_pool.hpp"
 #include "gradcheck.hpp"
 
 namespace aeris::nn {
@@ -143,6 +146,10 @@ TEST(AttentionCore, StreamingNeverMaterializesProbs) {
   rng.fill_normal(q, 1, 0);
   rng.fill_normal(k, 1, 1);
   rng.fill_normal(v, 1, 2);
+  // Both calls run every (batch, head) chunk on this thread, so the arena
+  // measured below is the one the warm-up grew. Pooled, this thread may
+  // claim no chunk during the warm-up and first grow on the measured call.
+  SerialRegionGuard serial;
   attention_core_forward(q, k, v, heads, nullptr);  // warm-up
   ScratchArena& arena = ScratchArena::for_current_thread();
   const std::size_t peak_before = arena.peak_bytes();
@@ -155,6 +162,33 @@ TEST(AttentionCore, StreamingNeverMaterializesProbs) {
   // [B,H,T,T] softmax tensor (8*4*64*64 floats = 512 KiB).
   const std::size_t full_probs_bytes = b * heads * t * t * sizeof(float);
   EXPECT_LT(arena.peak_bytes(), full_probs_bytes / 2);
+}
+
+// Inference rows are independent of batch shape: each window of a batch
+// gives the bits it gives alone, on the short full-row path and on the
+// streaming tile path.
+TEST(AttentionCore, BatchRowsMatchSingleWindowForwardsBitwise) {
+  Philox rng(23);
+  for (const std::int64_t t : {4, 150}) {
+    const std::int64_t b = 3, heads = 2, c = 16;
+    Tensor q({b, t, c}), k({b, t, c}), v({b, t, c});
+    rng.fill_normal(q, 1, 0);
+    rng.fill_normal(k, 1, 1);
+    rng.fill_normal(v, 1, 2);
+    const Tensor batched = attention_core_forward(q, k, v, heads);
+    for (std::int64_t w = 0; w < b; ++w) {
+      const Tensor one =
+          attention_core_forward(slice(q, 0, w, w + 1), slice(k, 0, w, w + 1),
+                                 slice(v, 0, w, w + 1), heads);
+      const Tensor row = slice(batched, 0, w, w + 1);
+      ASSERT_EQ(row.shape(), one.shape());
+      EXPECT_EQ(std::memcmp(row.data(), one.data(),
+                            sizeof(float) * static_cast<std::size_t>(
+                                                one.numel())),
+                0)
+          << "t=" << t << " window " << w;
+    }
+  }
 }
 
 TEST(WindowAttention, InferenceCtxMatchesTrainingForward) {

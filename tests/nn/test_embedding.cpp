@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "aeris/tensor/ops.hpp"
 
@@ -88,6 +90,56 @@ TEST(TimeEmbedding, RejectsMatrixInput) {
   TimeEmbedding emb("t", 8, 4);
   FwdCtx ctx;
   EXPECT_THROW(emb.forward(Tensor({2, 2}), ctx), std::invalid_argument);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Every row of the conditioning is computed from its own t alone: equal
+// times in one batch give bitwise-equal rows, and a row matches the
+// single-sample forward at that time.
+TEST(TimeEmbedding, EqualTimesGiveBitwiseEqualRows) {
+  TimeEmbedding emb("t", 16, 8);
+  Philox rng(3);
+  emb.init(rng, 0);
+  FwdCtx ctx(FwdCtx::Mode::kInference);
+  const Tensor c = emb.forward(Tensor::from({0.3f, 1.2f, 0.3f, 0.3f}), ctx);
+  EXPECT_TRUE(same_bits(slice(c, 0, 0, 1), slice(c, 0, 2, 3)));
+  EXPECT_TRUE(same_bits(slice(c, 0, 0, 1), slice(c, 0, 3, 4)));
+  EXPECT_FALSE(same_bits(slice(c, 0, 0, 1), slice(c, 0, 1, 2)));
+}
+
+TEST(TimeEmbedding, BatchedRowsMatchSingleTimeForwardsBitwise) {
+  TimeEmbedding emb("t", 16, 8);
+  Philox rng(4);
+  emb.init(rng, 0);
+  const std::vector<float> times{0.05f, 0.7f, 1.5f};
+  FwdCtx ctx(FwdCtx::Mode::kInference);
+  const Tensor batched =
+      emb.forward(Tensor({3}, std::vector<float>(times)), ctx);
+  for (std::int64_t i = 0; i < 3; ++i) {
+    const Tensor one =
+        emb.forward(Tensor::from({times[static_cast<std::size_t>(i)]}), ctx);
+    EXPECT_TRUE(same_bits(slice(batched, 0, i, i + 1), one)) << "row " << i;
+  }
+}
+
+TEST(TimeEmbedding, InferenceCtxRetainsNothingAndBackwardThrows) {
+  TimeEmbedding emb("t", 16, 8);
+  Philox rng(5);
+  emb.init(rng, 0);
+  const Tensor t = Tensor::from({0.4f, 0.9f});
+  FwdCtx infer(FwdCtx::Mode::kInference);
+  const Tensor c = emb.forward(t, infer);
+  EXPECT_EQ(infer.slot_count(), 0u);
+  EXPECT_THROW(emb.backward(c, infer), std::logic_error);
+
+  FwdCtx train;
+  EXPECT_TRUE(same_bits(emb.forward(t, train), c));
+  EXPECT_GT(train.slot_count(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "aeris/tensor/ops.hpp"
 #include "gradcheck.hpp"
 
@@ -132,6 +134,50 @@ TEST(Linear, InitZeroGivesZeroOutput) {
   Tensor x({2, 4}, 1.0f);
   FwdCtx ctx;
   EXPECT_FLOAT_EQ(max_abs(lin.forward(x, ctx)), 0.0f);
+}
+
+// Linear's copy operations are the implicit member-wise ones: a copy owns
+// its own weight storage, forwards bitwise like its source, and an edit
+// to either side never reaches the other.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(Linear, CopyIsDeepAndForwardsIdentically) {
+  Linear src("l", 5, 3);
+  Philox rng(11);
+  src.init(rng, 0);
+  rng.fill_normal(src.bias().value, 2, 0);
+  Tensor x({4, 5});
+  rng.fill_normal(x, 1, 0);
+  const Tensor before = src.apply(x);
+
+  Linear copy(src);
+  EXPECT_TRUE(same_bits(copy.apply(x), before));
+  EXPECT_NE(copy.weight().value.data(), src.weight().value.data());
+
+  copy.weight().value[0] += 1.0f;
+  copy.bias().value[1] -= 1.0f;
+  EXPECT_TRUE(same_bits(src.apply(x), before));
+  EXPECT_FALSE(same_bits(copy.apply(x), before));
+}
+
+TEST(Linear, CopyAssignmentTakesTheSourceWeights) {
+  Linear a("a", 4, 6), b("b", 4, 6);
+  Philox rng(12);
+  a.init(rng, 0);
+  b.init(rng, 1);
+  Tensor x({3, 4});
+  rng.fill_normal(x, 1, 1);
+  const Tensor want = a.apply(x);
+  ASSERT_FALSE(same_bits(b.apply(x), want));
+
+  b = a;
+  EXPECT_TRUE(same_bits(b.apply(x), want));
+  a.weight().value.fill(0.0f);
+  EXPECT_TRUE(same_bits(b.apply(x), want));
 }
 
 }  // namespace

@@ -66,6 +66,25 @@ TEST(AdamW, WeightDecayShrinksWithZeroGrad) {
   EXPECT_NEAR(p.value[0], 0.99f, 1e-5f);
 }
 
+// Master weights are fp32: a step far below one bf16 ulp (2^-7 at 1.0)
+// must land in the stored value, not be rounded away.
+TEST(AdamW, MasterWeightsKeepSubBf16Steps) {
+  Param p("p", {2});
+  p.value[0] = 1.0f;
+  p.value[1] = -1.0f;
+  ParamList params = {&p};
+  AdamW::Options o;
+  o.weight_decay = 0.0f;
+  AdamW opt(params, o);
+  p.grad[0] = 1.0f;
+  p.grad[1] = -1.0f;
+  opt.step(1e-4f);  // first AdamW step moves each weight by ~lr
+  EXPECT_NEAR(p.value[0], 1.0f - 1e-4f, 1e-6f);
+  EXPECT_NEAR(p.value[1], -1.0f + 1e-4f, 1e-6f);
+  EXPECT_NE(p.value[0], 1.0f);
+  EXPECT_NE(p.value[1], -1.0f);
+}
+
 TEST(AdamW, StepRangeUpdatesOnlyShard) {
   Param a("a", {2}), b("b", {2});
   a.value.fill(1.0f);

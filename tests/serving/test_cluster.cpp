@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -411,6 +413,82 @@ TEST(ClusterForecastServer, StopIsCleanAndIdempotent) {
   const ForecastResult r = cluster.forecast(make_request(3, 1, 1));
   EXPECT_EQ(r.status, RequestStatus::kRejected);
   EXPECT_NE(r.error, nullptr);
+}
+
+TEST(ClusterOptions, FromEnvReadsKnobs) {
+  ::setenv("AERIS_SERVE_RANKS", "5", 1);
+  ::setenv("AERIS_SERVE_HEARTBEAT_MS", "2.5", 1);
+  ::setenv("AERIS_SERVE_REJOIN", "1", 1);
+  const ClusterOptions o = ClusterOptions::from_env();
+  EXPECT_EQ(o.ranks, 5);
+  EXPECT_DOUBLE_EQ(o.heartbeat_interval_ms, 2.5);
+  EXPECT_DOUBLE_EQ(o.heartbeat_timeout_ms, 20.0);  // 8x the interval
+  EXPECT_TRUE(o.rejoin);
+  ::unsetenv("AERIS_SERVE_RANKS");
+  ::unsetenv("AERIS_SERVE_HEARTBEAT_MS");
+  ::unsetenv("AERIS_SERVE_REJOIN");
+
+  // A value that does not parse in full is an error naming the knob, not
+  // a silent prefix parse or a fall back to the default.
+  for (const char* bad : {"10abc", "abc"}) {
+    for (const char* knob : {"AERIS_SERVE_RANKS", "AERIS_SERVE_LEASE_MS"}) {
+      ::setenv(knob, bad, 1);
+      try {
+        (void)ClusterOptions::from_env();
+        ADD_FAILURE() << knob << "=" << bad << " parsed";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(knob), std::string::npos) << what;
+        EXPECT_NE(what.find(bad), std::string::npos) << what;
+      }
+      ::unsetenv(knob);
+    }
+  }
+}
+
+TEST(ClusterOptions, FromEnvReadsQuorumLeaseAndProbationKnobs) {
+  ::setenv("AERIS_SERVE_QUORUM", "2", 1);
+  ::setenv("AERIS_SERVE_HEARTBEAT_MS", "4", 1);
+  ::setenv("AERIS_SERVE_HEARTBEAT_TIMEOUT_MS", "12", 1);
+  ::setenv("AERIS_SERVE_LEASE_MS", "300", 1);
+  ::setenv("AERIS_SERVE_PROBATION_MS", "45", 1);
+  ::setenv("AERIS_SERVE_MAX_RANKS", "6", 1);
+  const ClusterOptions o = ClusterOptions::from_env();
+  for (const char* knob :
+       {"AERIS_SERVE_QUORUM", "AERIS_SERVE_HEARTBEAT_MS",
+        "AERIS_SERVE_HEARTBEAT_TIMEOUT_MS", "AERIS_SERVE_LEASE_MS",
+        "AERIS_SERVE_PROBATION_MS", "AERIS_SERVE_MAX_RANKS"}) {
+    ::unsetenv(knob);
+  }
+  EXPECT_EQ(o.min_quorum, 2);
+  EXPECT_DOUBLE_EQ(o.heartbeat_interval_ms, 4.0);
+  EXPECT_DOUBLE_EQ(o.heartbeat_timeout_ms, 12.0);  // explicit beats 8x
+  EXPECT_DOUBLE_EQ(o.lease_timeout_ms, 300.0);
+  EXPECT_DOUBLE_EQ(o.probation_ms, 45.0);
+  EXPECT_EQ(o.max_ranks, 6);
+}
+
+// Unset knobs leave every field at its compiled-in default; with
+// heartbeats off the detector timeout stays off too.
+TEST(ClusterOptions, FromEnvWithNothingSetKeepsDefaults) {
+  for (const char* knob :
+       {"AERIS_SERVE_RANKS", "AERIS_SERVE_QUORUM", "AERIS_SERVE_HEARTBEAT_MS",
+        "AERIS_SERVE_HEARTBEAT_TIMEOUT_MS", "AERIS_SERVE_LEASE_MS",
+        "AERIS_SERVE_REJOIN", "AERIS_SERVE_PROBATION_MS",
+        "AERIS_SERVE_MAX_RANKS"}) {
+    ::unsetenv(knob);
+  }
+  const ClusterOptions d;
+  const ClusterOptions o = ClusterOptions::from_env();
+  EXPECT_EQ(o.ranks, d.ranks);
+  EXPECT_EQ(o.min_quorum, d.min_quorum);
+  EXPECT_EQ(o.heartbeat_interval_ms, d.heartbeat_interval_ms);
+  ASSERT_EQ(d.heartbeat_interval_ms, 0.0);
+  EXPECT_EQ(o.heartbeat_timeout_ms, 0.0);
+  EXPECT_EQ(o.lease_timeout_ms, d.lease_timeout_ms);
+  EXPECT_EQ(o.rejoin, d.rejoin);
+  EXPECT_EQ(o.probation_ms, d.probation_ms);
+  EXPECT_EQ(o.max_ranks, d.max_ranks);
 }
 
 }  // namespace

@@ -547,6 +547,116 @@ TEST(ForecastServer, DegradePolicyReducesWorkAndReportsIt) {
   EXPECT_EQ(server.stats().degraded, 1);
 }
 
+void expect_result_matches_serial(const ForecastResult& r,
+                                  const AerisModel& model,
+                                  const core::TrigFlowConfig& tf,
+                                  core::TrigSamplerConfig sc,
+                                  std::uint64_t seed, const Tensor& init,
+                                  std::int64_t steps, std::int64_t members,
+                                  const std::string& tag) {
+  ASSERT_EQ(r.status, RequestStatus::kOk) << tag << ": " << r.error_message;
+  ASSERT_EQ(static_cast<std::int64_t>(r.trajectories.size()), members) << tag;
+  DiffusionForecaster serial(model, tf, sc, seed);
+  const auto ref = serial.ensemble_rollout(init, make_forcing, steps, members);
+  for (std::int64_t m = 0; m < members; ++m) {
+    const auto& got = r.trajectories[static_cast<std::size_t>(m)];
+    ASSERT_EQ(got.size(), ref[static_cast<std::size_t>(m)].size()) << tag;
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      expect_bitwise_equal(ref[static_cast<std::size_t>(m)][s], got[s],
+                           tag + " m" + std::to_string(m) + " s" +
+                               std::to_string(s));
+    }
+  }
+}
+
+// A degradation flip arriving mid-load: the DegradePolicy cuts the solver
+// step count for a request admitted under queue pressure, so the one
+// worker runs full-resolution packs, then a degraded pack (a different t
+// schedule), then full-resolution packs again. Every phase must stay
+// bitwise against its serial reference.
+TEST(ForecastServer, MidLoadDegradeFlipMatchesSerialBitwise) {
+  AerisModel model = make_model(67);
+  core::TrigFlowConfig tf;
+  core::TrigSamplerConfig sc;
+  sc.steps = 3;
+  ParallelEnsembleEngine engine(model, tf, sc, 0);
+
+  ServerOptions opts;
+  opts.batch = 4;
+  opts.workers = 1;  // one worker runs every phase
+  // Any estimated wait degrades; the estimate is pending work x the EMA
+  // step cost, so it is 0 (no degradation) until the queue actually backs
+  // up behind a wedged request.
+  opts.degrade.est_wait_threshold_ms = 1e-9;
+  opts.degrade.degraded_solver_steps = 2;
+  ForecastServer server(engine, opts);
+
+  const std::int64_t steps = 2, members = 2;
+
+  // Phase 1: idle server — full resolution, warms the step-cost EMA.
+  ForecastRequest full;
+  full.init = make_init(10);
+  full.forcings_at = make_forcing;
+  full.members = members;
+  full.steps = steps;
+  full.seed = 501;
+  const ForecastResult warm = server.forecast(full);
+  EXPECT_FALSE(warm.degraded);
+  expect_result_matches_serial(warm, model, tf, sc, 501, make_init(10), steps,
+                               members, "warmup");
+
+  // Phase 2: wedge the worker on a gated forcing so the next admission
+  // sees a backed-up queue and degrades deterministically.
+  std::atomic<bool> release{false};
+  const core::ForcingFn gated = [&](std::int64_t s) {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return make_forcing(s);
+  };
+  ForecastResult wedged_result;
+  std::thread wedged_client([&] {
+    ForecastRequest wedge = full;
+    wedge.seed = 502;
+    wedge.forcings_at = gated;
+    wedged_result = server.forecast(wedge);
+  });
+  while (server.stats().accepted < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  ForecastResult degraded_result;
+  std::thread degraded_client([&] {
+    ForecastRequest d = full;
+    d.seed = 503;
+    degraded_result = server.forecast(d);
+  });
+  while (server.stats().degraded < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release.store(true);
+  wedged_client.join();
+  degraded_client.join();
+
+  EXPECT_FALSE(wedged_result.degraded);
+  expect_result_matches_serial(wedged_result, model, tf, sc, 502,
+                               make_init(10), steps, members, "wedged full");
+  ASSERT_TRUE(degraded_result.degraded);
+  EXPECT_EQ(degraded_result.solver_steps, 2);
+  core::TrigSamplerConfig degraded_sc = sc;
+  degraded_sc.steps = 2;
+  expect_result_matches_serial(degraded_result, model, tf, degraded_sc, 503,
+                               make_init(10), steps, members, "degraded");
+
+  // Phase 3: idle again — back to full resolution on the same worker.
+  ForecastRequest again = full;
+  again.seed = 504;
+  const ForecastResult rec = server.forecast(again);
+  EXPECT_FALSE(rec.degraded);
+  expect_result_matches_serial(rec, model, tf, sc, 504, make_init(10), steps,
+                               members, "recovered");
+}
+
 // Shutdown drains: in-flight requests terminate with a typed shutdown
 // rejection (never hang), and post-stop admissions are refused.
 TEST(ForecastServer, StopTerminatesInFlightAndRejectsNewWork) {
@@ -637,6 +747,64 @@ TEST(ForecastServer, FromEnvReadsKnobs) {
   ::unsetenv("AERIS_SERVE_DEGRADE_WAIT_MS");
   ::unsetenv("AERIS_SERVE_DEGRADE_STEPS");
   ::unsetenv("AERIS_SERVE_DEGRADE_MEMBERS");
+
+  // A value that does not parse in full is an error naming the knob, not
+  // a silent prefix parse or a fall back to the default.
+  for (const char* bad : {"10abc", "abc"}) {
+    for (const char* knob :
+         {"AERIS_SERVE_QUEUE_CAP", "AERIS_SERVE_DEADLINE_MS"}) {
+      ::setenv(knob, bad, 1);
+      try {
+        (void)ServerOptions::from_env();
+        ADD_FAILURE() << knob << "=" << bad << " parsed";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(knob), std::string::npos) << what;
+        EXPECT_NE(what.find(bad), std::string::npos) << what;
+      }
+      ::unsetenv(knob);
+    }
+  }
+}
+
+TEST(ForecastServer, FromEnvReadsRetryAndDegradeRungKnobs) {
+  ::setenv("AERIS_SERVE_RETRY_CAP_MS", "80", 1);
+  ::setenv("AERIS_SERVE_DEGRADE_FALLBACK_WAIT_MS", "15.5", 1);
+  ::setenv("AERIS_SERVE_DEGRADE_TO_CONSISTENCY", "0", 1);
+  ::setenv("AERIS_SERVE_DEGRADE_CUT_WAIT_MS", "90", 1);
+  const ServerOptions o = ServerOptions::from_env();
+  ::unsetenv("AERIS_SERVE_RETRY_CAP_MS");
+  ::unsetenv("AERIS_SERVE_DEGRADE_FALLBACK_WAIT_MS");
+  ::unsetenv("AERIS_SERVE_DEGRADE_TO_CONSISTENCY");
+  ::unsetenv("AERIS_SERVE_DEGRADE_CUT_WAIT_MS");
+  EXPECT_DOUBLE_EQ(o.max_retry_backoff_ms, 80.0);
+  EXPECT_DOUBLE_EQ(o.degrade.fallback_wait_threshold_ms, 15.5);
+  EXPECT_FALSE(o.degrade.to_consistency);
+  EXPECT_DOUBLE_EQ(o.degrade.cut_wait_threshold_ms, 90.0);
+}
+
+// Unset knobs leave every field at its compiled-in default.
+TEST(ForecastServer, FromEnvWithNothingSetKeepsDefaults) {
+  for (const char* knob :
+       {"AERIS_SERVE_QUEUE_CAP", "AERIS_SERVE_DEADLINE_MS",
+        "AERIS_SERVE_RETRY_CAP_MS", "AERIS_SERVE_DEGRADE_FALLBACK_WAIT_MS",
+        "AERIS_SERVE_DEGRADE_WAIT_MS", "AERIS_SERVE_DEGRADE_STEPS",
+        "AERIS_SERVE_DEGRADE_MEMBERS", "AERIS_SERVE_DEGRADE_TO_CONSISTENCY",
+        "AERIS_SERVE_DEGRADE_CUT_WAIT_MS"}) {
+    ::unsetenv(knob);
+  }
+  const ServerOptions d;
+  const ServerOptions o = ServerOptions::from_env();
+  EXPECT_EQ(o.queue_capacity, d.queue_capacity);
+  EXPECT_EQ(o.default_deadline_ms, d.default_deadline_ms);
+  EXPECT_EQ(o.max_retry_backoff_ms, d.max_retry_backoff_ms);
+  EXPECT_EQ(o.degrade.fallback_wait_threshold_ms,
+            d.degrade.fallback_wait_threshold_ms);
+  EXPECT_EQ(o.degrade.est_wait_threshold_ms, d.degrade.est_wait_threshold_ms);
+  EXPECT_EQ(o.degrade.degraded_solver_steps, d.degrade.degraded_solver_steps);
+  EXPECT_EQ(o.degrade.max_members, d.degrade.max_members);
+  EXPECT_EQ(o.degrade.to_consistency, d.degrade.to_consistency);
+  EXPECT_EQ(o.degrade.cut_wait_threshold_ms, d.degrade.cut_wait_threshold_ms);
 }
 
 }  // namespace

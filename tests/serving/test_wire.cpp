@@ -145,5 +145,188 @@ TEST(Wire, TruncatedPayloadThrowsInsteadOfMisreading) {
                std::runtime_error);
 }
 
+void push_u32(std::vector<float>& out, std::uint32_t v) {
+  float lane;
+  std::memcpy(&lane, &v, sizeof(v));
+  out.push_back(lane);
+}
+
+void push_u64(std::vector<float>& out, std::uint64_t v) {
+  push_u32(out, static_cast<std::uint32_t>(v));
+  push_u32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+// Runs `decode` on a forged payload: it must fail with the decoder's own
+// "wire: ..." runtime_error, never bad_alloc, length_error or a misread.
+template <typename Decode>
+void expect_wire_error(Decode decode, const std::string& what) {
+  try {
+    decode();
+    ADD_FAILURE() << what << ": decoded a forged payload";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("wire:", 0), 0u)
+        << what << ": " << e.what();
+  }
+}
+
+// Pack header: pack id, model, kind, override, n_slots, h, w, v, f.
+std::vector<float> pack_header(std::uint32_t n_slots, std::uint32_t h,
+                               std::uint32_t w, std::uint32_t v,
+                               std::uint32_t f) {
+  std::vector<float> out;
+  push_u64(out, 1);
+  for (const std::uint32_t lane : {0u, 0u, 0u, n_slots, h, w, v, f}) {
+    push_u32(out, lane);
+  }
+  return out;
+}
+
+// Each forged header is a 0xFFFFFFFF count or dimension on a payload a
+// few lanes long.
+TEST(Wire, ForgedHeadersThrowWireError) {
+  constexpr std::uint32_t kMax = 0xFFFFFFFFu;
+  const std::vector<float> slots = pack_header(kMax, 2, 2, 1, 1);
+  ASSERT_EQ(slots.size(), 10u);
+  expect_wire_error([&] { decode_pack(slots); }, "n_slots");
+
+  std::vector<float> shape = pack_header(1, kMax, kMax, kMax, 1);
+  push_u64(shape, 3);  // noise seed
+  push_u64(shape, 4);  // noise key
+  expect_wire_error([&] { decode_pack(shape); }, "pack h*w*v");
+
+  // Result payloads: pack id, ok flag, then the forged lanes.
+  auto result = [](std::uint32_t ok, std::vector<std::uint32_t> lanes) {
+    std::vector<float> out;
+    push_u64(out, 1);
+    push_u32(out, ok);
+    for (const std::uint32_t lane : lanes) push_u32(out, lane);
+    out.resize(10, 0.0f);
+    return out;
+  };
+  expect_wire_error([&] { decode_result(result(1, {kMax})); },
+                    "result count");
+  expect_wire_error([&] { decode_result(result(1, {1, kMax, kMax, kMax})); },
+                    "result h*w*v");
+  expect_wire_error([&] { decode_result(result(0, {kMax})); },
+                    "string length");
+}
+
+// A forged forcing extent is checked like the state extents: the pack's
+// h*w*v fits, only h*w*f is impossible.
+TEST(Wire, ForgedForcingExtentThrowsWireError) {
+  std::vector<float> payload = pack_header(1, 2, 2, 1, 0xFFFFFFFFu);
+  push_u64(payload, 3);  // noise seed
+  push_u64(payload, 4);  // noise key
+  for (int i = 0; i < 4; ++i) payload.push_back(1.0f);  // prev [2, 2, 1]
+  expect_wire_error([&] { decode_pack(payload); }, "pack h*w*f");
+}
+
+// A shape whose element count fits 64 bits (2^32) but exceeds the lanes
+// left must fail on the size test, not reach the allocation.
+TEST(Wire, ShapeLargerThanPayloadThrowsWireError) {
+  std::vector<float> pack = pack_header(1, 65536, 65536, 1, 1);
+  push_u64(pack, 3);
+  push_u64(pack, 4);
+  pack.resize(pack.size() + 64, 0.0f);
+  expect_wire_error([&] { decode_pack(pack); }, "pack 2^32 elements");
+
+  std::vector<float> res;
+  push_u64(res, 1);
+  for (const std::uint32_t lane : {1u, 1u, 65536u, 65536u, 1u}) {
+    push_u32(res, lane);
+  }
+  res.resize(res.size() + 64, 0.0f);
+  expect_wire_error([&] { decode_result(res); }, "result 2^32 elements");
+}
+
+// Cutting a valid payload anywhere must fail with a wire error: every
+// field, including a tensor cut mid-way, checks the lanes it needs.
+template <typename Decode>
+void expect_every_strict_prefix_rejected(const std::vector<float>& payload,
+                                         Decode decode,
+                                         const std::string& what) {
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    const std::vector<float> cut(payload.begin(),
+                                 payload.begin() + static_cast<long>(len));
+    expect_wire_error([&] { decode(cut); },
+                      what + " cut at " + std::to_string(len));
+  }
+  EXPECT_NO_THROW(decode(payload)) << what;
+}
+
+TEST(Wire, EveryStrictPrefixOfAPackThrowsWireError) {
+  const std::int64_t h = 2, w = 3, v = 2, f = 1;
+  std::vector<Tensor> prev{filled({h, w, v}, 0), filled({h, w, v}, 1)};
+  std::vector<Tensor> forc{filled({h, w, f}, 2), filled({h, w, f}, 3)};
+  std::vector<core::MemberSlot> slots(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    slots[i].prev = &prev[i];
+    slots[i].forcings = &forc[i];
+    slots[i].noise = core::MemberKey{i + 1, i + 2};
+  }
+  const std::vector<float> payload =
+      encode_pack(9, 0, core::SamplerKind::kDpmSolver, 0,
+                  std::span<const core::MemberSlot>(slots), h, w, v, f);
+  expect_every_strict_prefix_rejected(
+      payload, [](const std::vector<float>& p) { (void)decode_pack(p); },
+      "pack");
+}
+
+TEST(Wire, EveryStrictPrefixOfAResultThrowsWireError) {
+  std::vector<Tensor> next{filled({2, 3, 2}, 5), filled({2, 3, 2}, 6)};
+  expect_every_strict_prefix_rejected(
+      encode_result(11, std::span<const Tensor>(next)),
+      [](const std::vector<float>& p) { (void)decode_result(p); }, "result");
+  expect_every_strict_prefix_rejected(
+      encode_result_error(12, "worker fault"),
+      [](const std::vector<float>& p) { (void)decode_result(p); },
+      "error result");
+}
+
+TEST(Wire, EveryStrictPrefixOfJoinAndAnnounceThrowsWireError) {
+  expect_every_strict_prefix_rejected(
+      encode_join_invite(3, 0xABCDull),
+      [](const std::vector<float>& p) { (void)decode_join(p); }, "join");
+  expect_every_strict_prefix_rejected(
+      encode_announce(3, 0xABCDull),
+      [](const std::vector<float>& p) { (void)decode_announce(p); },
+      "announce");
+}
+
+// A model without forcing channels sends [h, w, 0] forcings: the zero
+// extent must decode to empty tensors of that shape without disturbing
+// the state lanes around them.
+TEST(Wire, ZeroForcingChannelsRoundTrip) {
+  const std::int64_t h = 3, w = 2, v = 2;
+  std::vector<Tensor> prev{filled({h, w, v}, 7), filled({h, w, v}, 8)};
+  const Tensor none({h, w, 0});
+  std::vector<core::MemberSlot> slots(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    slots[i].prev = &prev[i];
+    slots[i].forcings = &none;
+    slots[i].noise = core::MemberKey{i, i};
+  }
+  const PackMsg msg = decode_pack(
+      encode_pack(3, 1, core::SamplerKind::kDpmSolver, 0,
+                  std::span<const core::MemberSlot>(slots), h, w, v, 0));
+  ASSERT_EQ(msg.prev.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    expect_bitwise(msg.prev[i], prev[i]);
+    EXPECT_EQ(msg.forcings[i].shape(), (Shape{h, w, 0}));
+  }
+}
+
+TEST(Wire, EmptyErrorMessageAndEmptyResultRoundTrip) {
+  const ResultMsg err = decode_result(encode_result_error(13, ""));
+  EXPECT_FALSE(err.ok);
+  EXPECT_EQ(err.pack_id, 13u);
+  EXPECT_TRUE(err.error.empty());
+
+  const ResultMsg none = decode_result(encode_result(14, {}));
+  EXPECT_TRUE(none.ok);
+  EXPECT_EQ(none.pack_id, 14u);
+  EXPECT_TRUE(none.next.empty());
+}
+
 }  // namespace
 }  // namespace aeris::serving::wire
