@@ -12,8 +12,10 @@ threshold (default +20%). Exit status is 1 if any benchmark regressed,
 
 Benchmarks present on only one side are reported but never fail the run:
 suites grow, and a missing row in a stale baseline should prompt a
-baseline refresh, not a red build. Only "iteration"-type entries are
-compared (aggregates like _mean/_stddev are skipped if present).
+baseline refresh, not a red build. A run recorded with
+--benchmark_repetitions contributes its _median aggregate for each row
+(the repetitions themselves and the other aggregates are ignored); a
+single-repetition run contributes its one iteration row.
 
 Stdlib-only on purpose; runs anywhere CMake does.
 """
@@ -27,13 +29,15 @@ from pathlib import Path
 def load_rows(path):
     with open(path) as f:
         doc = json.load(f)
-    rows = {}
+    rows, medians = {}, {}
     for b in doc.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        rows[b["name"]] = float(b["real_time"])
+        if b.get("run_type", "iteration") == "iteration":
+            rows[b["name"]] = float(b["real_time"])
+        elif b.get("aggregate_name") == "median":
+            medians[b["run_name"]] = float(b["real_time"])
+    rows.update(medians)
     if not rows:
-        raise SystemExit(f"error: no iteration benchmarks in {path}")
+        raise SystemExit(f"error: no benchmarks in {path}")
     return rows
 
 
@@ -66,9 +70,8 @@ def main():
         "--only",
         default=None,
         help="comma-separated benchmark-name prefixes; rows matching none "
-        "of them are ignored entirely (the hot-row CI gate passes "
-        "BM_Gemm,BM_WindowAttention,BM_EnsembleRollout,"
-        "BM_ForecastServer)",
+        "of them are ignored entirely (scripts/bench_check.sh passes "
+        "its hot-row list)",
     )
     args = ap.parse_args()
 

@@ -25,9 +25,10 @@ struct EnsembleOptions {
 /// front-end packs members of unrelated forecast requests into a single
 /// [E, H, W, C] solve. `prev` is the member's current state (conditioning
 /// for the residual solve), `forcings` its own forcing field, and `noise`
-/// reproduces the member's serial streams — MemberKey{request seed,
-/// member * 4096 + step} makes slot results bitwise-identical to the
-/// serial DiffusionForecaster with that seed, regardless of packing.
+/// reproduces the member's serial streams — MemberCursor::noise_key()
+/// (request seed, member * kStepsPerMember + step) makes slot results
+/// bitwise-identical to the serial DiffusionForecaster with that seed,
+/// regardless of packing.
 struct MemberSlot {
   const Tensor* prev = nullptr;      ///< [H, W, V]
   const Tensor* forcings = nullptr;  ///< [H, W, F]

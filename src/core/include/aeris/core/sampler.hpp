@@ -68,44 +68,31 @@ Tensor sample_edm(const DenoiserFn& network, const Shape& shape,
 /// Identifies one member's noise streams in a batched solve: `seed` is the
 /// Philox seed (per forecaster / per serving request) and `key` is the
 /// serial sampler `member` argument (the forecasters use
-/// member * 4096 + step). Splitting the seed out lets members of
-/// *different* requests — each reproducing its own serial reference —
-/// share a single stacked solver call.
+/// member * MemberCursor::kStepsPerMember + step). Splitting the seed out
+/// lets members of *different* requests — each reproducing its own serial
+/// reference — share a single stacked solver call.
 struct MemberKey {
   std::uint64_t seed = 0;
   std::uint64_t key = 0;
 };
 
-/// Batched samplers: E ensemble members advance in lockstep through one
-/// stacked state [E, ...shape], so every solver stage is a single network
-/// call over the batch dimension instead of E separate calls.
+/// Batched samplers (cross-request stacking): E ensemble members advance
+/// in lockstep through one stacked state [E, ...shape], so every solver
+/// stage is a single network call over the batch dimension instead of E
+/// separate calls. Slab e draws from Philox(members[e].seed) keyed by
+/// members[e].key.
 ///
-/// Bitwise-identical to E serial sample_* calls with the same keys: the
-/// t/sigma schedule (and the churn rotation angle) depend only on the
-/// config, never on the state, so members share them exactly; every
-/// elementwise update touches each member's slab independently; and the
-/// counter RNG fills member e's slab with exactly the draws the serial
-/// call keyed by member_keys[e] would produce. The network closure must
-/// preserve this by treating the leading dim as a batch of independent
-/// samples (true of AerisModel by construction).
+/// Bitwise-identical to E serial sample_* calls with the same seeds and
+/// keys: the t/sigma schedule (and the churn rotation angle) depend only
+/// on the config, never on the state, so members share them exactly;
+/// every elementwise update touches each member's slab independently; and
+/// the counter RNG fills member e's slab with exactly the draws the serial
+/// call would produce. The network closure must preserve this by treating
+/// the leading dim as a batch of independent samples (true of AerisModel
+/// by construction).
 ///
 /// `velocity`/`network` receive the stacked [E, ...shape] state and return
-/// the stacked result; `member_keys[e]` is the serial `member` argument of
-/// slab e. Returns [E, ...shape].
-Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
-                               const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                               const Philox& rng,
-                               std::span<const std::uint64_t> member_keys);
-
-Tensor sample_edm_batched(const DenoiserFn& network, const Shape& shape,
-                          const Edm& edm, const EdmSamplerConfig& cfg,
-                          const Philox& rng,
-                          std::span<const std::uint64_t> member_keys);
-
-/// Per-member-seed variants (cross-request stacking): slab e draws from
-/// Philox(members[e].seed) keyed by members[e].key — bitwise-identical to
-/// a serial sample_* call with that seed and key. The single-seed
-/// overloads above delegate here with a shared seed.
+/// the stacked result. Returns [E, ...shape].
 Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
                                const TrigFlow& tf, const TrigSamplerConfig& cfg,
                                std::span<const MemberKey> members);
@@ -143,17 +130,9 @@ Tensor sample_consistency(const DenoiserFn& velocity, const Shape& shape,
                           const ConsistencySamplerConfig& cfg,
                           const Philox& rng, std::uint64_t member);
 
-/// Batched / per-member-seed variants, bitwise-identical to E serial
-/// sample_consistency calls with the same keys (same contract as the
-/// batched samplers above: the schedule is state-independent, every
-/// elementwise update touches one member slab, and the counter RNG fills
-/// slab e with exactly the serial draws of member_keys[e]).
-Tensor sample_consistency_batched(const DenoiserFn& velocity,
-                                  const Shape& shape, const TrigFlow& tf,
-                                  const ConsistencySamplerConfig& cfg,
-                                  const Philox& rng,
-                                  std::span<const std::uint64_t> member_keys);
-
+/// Batched variant, bitwise-identical to E serial sample_consistency
+/// calls with the same seeds and keys (same contract as the batched
+/// samplers above).
 Tensor sample_consistency_batched(const DenoiserFn& velocity,
                                   const Shape& shape, const TrigFlow& tf,
                                   const ConsistencySamplerConfig& cfg,

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "aeris/core/cursor.hpp"
 #include "aeris/tensor/ops.hpp"
 #include "aeris/tensor/recycle.hpp"
 #include "aeris/tensor/thread_pool.hpp"
@@ -177,9 +178,9 @@ std::vector<Tensor> ParallelEnsembleEngine::step_chunk(
   for (std::size_t m = 0; m < states.size(); ++m) {
     slots[m].prev = &states[m];
     slots[m].forcings = &forcings;
-    slots[m].noise = MemberKey{
-        rng_.seed(), (static_cast<std::uint64_t>(m0) + m) * 4096 +
-                         static_cast<std::uint64_t>(step)};
+    slots[m].noise =
+        MemberCursor{rng_.seed(), m0 + static_cast<std::int64_t>(m), step}
+            .noise_key();
   }
   return step_pack(slots);
 }

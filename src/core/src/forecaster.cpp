@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "aeris/core/cursor.hpp"
 #include "aeris/tensor/ops.hpp"
 
 namespace aeris::core {
@@ -60,7 +61,7 @@ Tensor DiffusionForecaster::forecast_step(const Tensor& prev,
     throw std::invalid_argument("forecast_step: prev must be [H,W,V]");
   }
   const std::uint64_t member_key =
-      member * 4096 + static_cast<std::uint64_t>(step);
+      member * MemberCursor::kStepsPerMember + static_cast<std::uint64_t>(step);
   // Sampling never needs backward: the const model overload runs with an
   // inference-mode ctx, so attention streams (no [B,H,T,T] probs) and no
   // layer retains activations.

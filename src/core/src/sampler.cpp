@@ -35,15 +35,6 @@ void fill_member_noise(Tensor& x, std::int64_t per, std::uint64_t stream,
   }
 }
 
-std::vector<MemberKey> shared_seed_keys(const Philox& rng,
-                                        std::span<const std::uint64_t> keys) {
-  std::vector<MemberKey> mk(keys.size());
-  for (std::size_t e = 0; e < keys.size(); ++e) {
-    mk[e] = MemberKey{rng.seed(), keys[e]};
-  }
-  return mk;
-}
-
 /// Noise-key offset of the consistency sampler inside a member's 1024-wide
 /// key block: disjoint from the TrigFlow sampler (offset 0, churn 1..) and
 /// the EDM sampler (offset 512), so teacher and student draws never alias
@@ -123,19 +114,11 @@ Tensor sample_trigflow(const DenoiserFn& velocity, const Shape& shape,
 
 Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
                                const TrigFlow& tf, const TrigSamplerConfig& cfg,
-                               const Philox& rng,
-                               std::span<const std::uint64_t> member_keys) {
-  const std::vector<MemberKey> mk = shared_seed_keys(rng, member_keys);
-  return sample_trigflow_batched(velocity, shape, tf, cfg, mk);
-}
-
-Tensor sample_trigflow_batched(const DenoiserFn& velocity, const Shape& shape,
-                               const TrigFlow& tf, const TrigSamplerConfig& cfg,
                                std::span<const MemberKey> members) {
   const float sd = tf.config().sigma_d;
   const std::vector<float> ts = trigflow_schedule(tf, cfg);
   const std::int64_t e = static_cast<std::int64_t>(members.size());
-  if (e == 0) throw std::invalid_argument("sampler: empty member_keys");
+  if (e == 0) throw std::invalid_argument("sampler: empty member pack");
   const Shape xshape = stacked_shape(shape, e);
 
   Tensor x(xshape);
@@ -219,18 +202,10 @@ Tensor sample_edm(const DenoiserFn& network, const Shape& shape,
 
 Tensor sample_edm_batched(const DenoiserFn& network, const Shape& shape,
                           const Edm& edm, const EdmSamplerConfig& cfg,
-                          const Philox& rng,
-                          std::span<const std::uint64_t> member_keys) {
-  const std::vector<MemberKey> mk = shared_seed_keys(rng, member_keys);
-  return sample_edm_batched(network, shape, edm, cfg, mk);
-}
-
-Tensor sample_edm_batched(const DenoiserFn& network, const Shape& shape,
-                          const Edm& edm, const EdmSamplerConfig& cfg,
                           std::span<const MemberKey> members) {
   const std::vector<float> sigmas = edm.schedule(cfg.steps);
   const std::int64_t e = static_cast<std::int64_t>(members.size());
-  if (e == 0) throw std::invalid_argument("sampler: empty member_keys");
+  if (e == 0) throw std::invalid_argument("sampler: empty member pack");
 
   Tensor x(stacked_shape(shape, e));
   std::int64_t per = 1;
@@ -326,20 +301,11 @@ Tensor sample_consistency(const DenoiserFn& velocity, const Shape& shape,
 Tensor sample_consistency_batched(const DenoiserFn& velocity,
                                   const Shape& shape, const TrigFlow& tf,
                                   const ConsistencySamplerConfig& cfg,
-                                  const Philox& rng,
-                                  std::span<const std::uint64_t> member_keys) {
-  const std::vector<MemberKey> mk = shared_seed_keys(rng, member_keys);
-  return sample_consistency_batched(velocity, shape, tf, cfg, mk);
-}
-
-Tensor sample_consistency_batched(const DenoiserFn& velocity,
-                                  const Shape& shape, const TrigFlow& tf,
-                                  const ConsistencySamplerConfig& cfg,
                                   std::span<const MemberKey> members) {
   const float sd = tf.config().sigma_d;
   const std::vector<float> ts = consistency_schedule(tf, cfg);
   const std::int64_t e = static_cast<std::int64_t>(members.size());
-  if (e == 0) throw std::invalid_argument("sampler: empty member_keys");
+  if (e == 0) throw std::invalid_argument("sampler: empty member pack");
   const Shape xshape = stacked_shape(shape, e);
 
   Tensor x(xshape);

@@ -203,18 +203,25 @@ class ClusterForecastServer {
     detail::Clock::time_point sent{};
   };
 
+  /// Both public constructors delegate here; `owned` is set only by the
+  /// single-engine one, and registry_ then points at it instead of
+  /// `shared`.
+  ClusterForecastServer(std::unique_ptr<ModelRegistry> owned,
+                        const ModelRegistry* shared,
+                        const ClusterOptions& opts);
+
   void manager_loop();
-  void frontend_loop(swipe::World& world, bool drill_armed);
+  void frontend_loop(swipe::World& world);
   void worker_rank_loop(swipe::World& world, int rank, bool drill_armed);
   /// A spare rank slot idles here until the front-end invites it on the
   /// join lane: it announces its registry fingerprint, and on an accept
   /// verdict becomes a worker (worker_rank_loop); a reject re-parks it.
   void parked_rank_loop(swipe::World& world, int rank);
-  /// Fetches forcings, commits fetch failures locally, encodes and sends
-  /// the rest to `worker_rank`, opening a lease. Returns true if anything
-  /// was dispatched or committed.
+  /// Checks a pack out of the ledger, encodes its slots and sends them to
+  /// `worker_rank`, opening a lease. Returns false when there was nothing
+  /// to dispatch.
   bool dispatch_pack(swipe::World& world, swipe::HeartbeatMonitor& monitor,
-                     int worker_rank, std::vector<PackItem> items);
+                     int worker_rank);
 
   /// Set only by the single-engine ctor; registry_ points at it then.
   std::unique_ptr<ModelRegistry> owned_registry_;

@@ -22,6 +22,10 @@ namespace detail {
 
 using Clock = std::chrono::steady_clock;
 
+inline double ms_between(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
 /// One admitted request. All fields are guarded by RequestLedger::mu_
 /// except during a pack's solve, where the executing side alone reads the
 /// in-flight members' init/traj tensors (a member has exactly one cursor,
@@ -35,11 +39,11 @@ struct ActiveRequest {
   std::uint64_t seed = 0;
   bool return_partial = false;
   bool degraded = false;
-  int solver_steps = 0;  ///< effective solver steps (override for step_pack)
+  int solver_steps = 0;  ///< effective solver steps
   core::SamplerKind sampler = core::SamplerKind::kDpmSolver;
   /// Engine of the registry variant serving this request — the resolved
   /// variant, or its fallback when the cross-model rung fired. Packs never
-  /// mix engines (take_pack groups by it).
+  /// mix engines (checkout groups by it).
   const core::ParallelEnsembleEngine* engine = nullptr;
   std::string model_name;         ///< registry name of the serving variant
   std::uint32_t model_index = 0;  ///< registry index (the wire model-id lane)
@@ -85,31 +89,35 @@ struct PackItem {
   const Tensor* prev = nullptr;      ///< [H, W, V] conditioning state
 };
 
-/// What happened to a checked-out pack. `next[i]` holds item i's next
-/// state iff item_error[i] is null and solve_error is null; item_error
-/// carries per-item failures (forcing fetch), solve_error a whole-pack
-/// failure (the stacked solve threw). pack_ms/solved_count feed the
-/// queue-wait EMA (solved_count == 0 skips the update).
+/// A pack checked out of the ledger, ready for one stacked solve. Every
+/// item's forcing field is fetched and shape-checked against the serving
+/// variant; `slots[i]` is items[i]'s step_pack slot (its forcings point
+/// into `forcings`, so a Pack is move-only). Packs are pure, so the
+/// schedule fields below hold for every item.
+struct Pack {
+  std::vector<PackItem> items;
+  std::vector<core::MemberSlot> slots;
+  std::vector<Tensor> forcings;  ///< one per distinct (request, step)
+  const core::ParallelEnsembleEngine* engine = nullptr;
+  std::uint32_t model_index = 0;  ///< registry index (the wire model-id)
+  core::SamplerKind sampler = core::SamplerKind::kDpmSolver;
+  int solver_steps_override = 0;  ///< 0 = the engine's configured count
+
+  Pack() = default;
+  Pack(Pack&&) = default;
+  Pack& operator=(Pack&&) = default;
+  Pack(const Pack&) = delete;
+  Pack& operator=(const Pack&) = delete;
+};
+
+/// What happened to a pack's stacked solve: `next[i]` is item i's next
+/// state, or `solve_error` is the whole pack's failure. pack_ms feeds the
+/// serving variant's step-cost EMA (skipped when the solve failed).
 struct PackOutcome {
   std::vector<Tensor> next;
-  std::vector<std::exception_ptr> item_error;
   std::exception_ptr solve_error;
   double pack_ms = 0.0;
-  std::int64_t solved_count = 0;
 };
-
-/// Forcing fields fetched for a pack, deduplicated per (request, step):
-/// of[i] points at item i's forcing tensor (null when the fetch threw;
-/// the exception is in error[i]).
-struct FetchedForcings {
-  std::deque<Tensor> store;
-  std::vector<const Tensor*> of;
-  std::vector<std::exception_ptr> error;
-};
-
-/// Fetches each item's forcing field outside any lock; a throwing forcing
-/// fn only penalizes its own request's items.
-FetchedForcings fetch_forcings(std::span<const PackItem> items);
 
 /// Throws std::invalid_argument for malformed requests (wrong shapes, null
 /// forcing fn, bad member/step counts) against the resolved variant's
@@ -126,13 +134,14 @@ void validate_request(const core::ParallelEnsembleEngine& engine,
 /// called forecast()" and "a stacked solve advanced these members one
 /// step", with the solve itself left to the owner:
 ///
-///  - ForecastServer's local workers check packs out (take_pack), run
-///    engine.step_pack inline, and commit the outcome.
-///  - ClusterForecastServer's front-end rank checks packs out, leases them
-///    to SWiPe worker ranks over the wire, commits results as they arrive,
-///    and *requeues* the checked-out items of a rank that died — the
-///    member-keyed noise contract (core::MemberCursor) makes the re-execution
-///    bitwise-identical wherever it lands.
+///  - ForecastServer's local workers check packs out, run engine.step_pack
+///    inline on the pack's slots, and commit the outcome.
+///  - ClusterForecastServer's front-end rank checks packs out, encodes the
+///    pack's slots and leases them to SWiPe worker ranks over the wire,
+///    commits results as they arrive, and *requeues* the checked-out items
+///    of a rank that died — the member-keyed noise contract
+///    (core::MemberCursor) makes the re-execution bitwise-identical
+///    wherever it lands.
 ///
 /// Every request admitted terminates with a result or a typed error.
 class RequestLedger {
@@ -157,18 +166,24 @@ class RequestLedger {
   /// returns false when stopping.
   bool wait_for_work(std::chrono::milliseconds timeout);
 
-  /// FIFO sweep + pack formation: drops cursors of finalized requests,
-  /// dooms expired ones, then checks out up to `max_items` eligible items
-  /// sharing one (engine, solver steps, sampler) schedule — a pack never
-  /// mixes registry variants or sampler families. May return empty (only
-  /// backoff-gated cursors right now, or nothing pending).
-  std::vector<PackItem> take_pack(std::int64_t max_items);
+  /// The one pack path of both front-ends. Under the lock, a FIFO sweep
+  /// drops cursors of finalized requests, dooms expired ones, and checks
+  /// out up to `max_items` eligible items sharing one (engine, solver
+  /// steps, sampler) schedule — a pack never mixes registry variants or
+  /// sampler families. Outside the lock, forcings are fetched once per
+  /// (request, step) and checked against the serving variant's
+  /// [h, w, in_channels - 2 * out_channels]; a throwing fetch or a wrong
+  /// shape is committed right here as a fault of its own request (the
+  /// message names both shapes), so it never rides into a batch-mate's
+  /// solve. Returns the survivors; an empty pack means nothing to solve
+  /// (only backoff-gated cursors, nothing pending, or every item failed).
+  Pack checkout(std::int64_t max_items);
 
-  /// Commits a pack's outcome: successful steps extend trajectories
-  /// (quarantining non-finite members), failures consume fault retries
-  /// with capped backoff, deadlines are enforced, and requests whose last
-  /// member finished (or doomed requests whose last item drained) are
-  /// finalized.
+  /// Commits a checked-out pack's solve: successful steps extend
+  /// trajectories (quarantining non-finite members), a solve error
+  /// consumes each item's fault retry with capped backoff, deadlines are
+  /// enforced, and requests whose last member finished (or doomed requests
+  /// whose last item drained) are finalized.
   void commit_pack(std::vector<PackItem> items, PackOutcome out);
 
   /// Worker-loss path: returns checked-out items to the ready queue
@@ -204,7 +219,7 @@ class RequestLedger {
   /// Records one joiner refused for a registry-fingerprint mismatch.
   void note_fingerprint_reject();
 
-  /// Begins shutdown: wakes every waiter; take_pack returns empty and
+  /// Begins shutdown: wakes every waiter; checkout returns empty and
   /// admissions are refused with kShutdown from now on. Returns false if
   /// already stopping (stop() idempotence).
   bool begin_stop();
@@ -223,16 +238,19 @@ class RequestLedger {
     Clock::time_point not_before{};  ///< backoff gate (epoch = eligible now)
   };
 
+  /// checkout's locked half: the FIFO sweep and pack formation.
+  std::vector<PackItem> take_pack(std::int64_t max_items);
   /// Terminal transition: fulfills the promise exactly once, releases the
   /// request's remaining work accounting. Caller holds mu_ and guarantees
   /// a->inflight == 0.
   void finalize_locked(const std::shared_ptr<detail::ActiveRequest>& a,
                        RequestStatus status, std::string msg,
                        std::exception_ptr err);
-  /// Consumes one fault retry for `c` (requeueing it behind a capped
-  /// backoff gate) or dooms the request when retries are exhausted.
-  /// Caller holds mu_.
-  void fault_locked(Cursor c, const std::exception_ptr& cause,
+  /// A checked-out item whose step did not land: consumes one fault retry
+  /// (requeueing its cursor behind a capped backoff gate) or dooms the
+  /// request when retries are exhausted; no-op for a doomed request.
+  /// Caller holds mu_ and has released the item's inflight count.
+  void fault_locked(const PackItem& item, const std::exception_ptr& cause,
                     Clock::time_point now);
   /// Terminal sweep over the requests a drained pack touched. Caller
   /// holds mu_.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,11 @@ class ModelRegistry {
   std::vector<ModelVariant> variants_;
   std::int64_t default_ = 0;
 };
+
+/// A one-variant registry named "default" around `engine`: what the
+/// single-engine server constructors route through.
+std::unique_ptr<ModelRegistry> make_default_registry(
+    const core::ParallelEnsembleEngine& engine);
 
 /// Area-mean pooling [H, W, C] -> [h, w, C] (h | H, w | W): the state and
 /// forcing adapter a cross-grid fallback edge applies when re-routing a

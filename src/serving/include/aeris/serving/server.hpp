@@ -40,8 +40,8 @@ namespace aeris::serving {
 ///
 /// The policy stack itself lives in RequestLedger (shared with the
 /// distributed ClusterForecastServer); this class supplies the execution
-/// substrate: worker threads that check packs out and run
-/// engine.step_pack in-process.
+/// substrate: worker threads that check packs out of the ledger, run
+/// engine.step_pack on them in-process, and commit the outcome.
 ///
 /// Determinism: an unstressed request (no quarantine, no degradation) gets
 /// trajectories bitwise-identical to the serial DiffusionForecaster with
@@ -76,7 +76,7 @@ class ForecastServer {
 
  private:
   void start_workers();
-  void worker_loop(int worker_index);
+  void worker_loop();
 
   /// Set only by the single-engine ctor; registry_ points at it then.
   std::unique_ptr<ModelRegistry> owned_registry_;

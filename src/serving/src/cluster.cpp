@@ -16,10 +16,7 @@ namespace {
 
 using Clock = detail::Clock;
 using detail::env_number;
-
-double ms_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
+using detail::ms_between;
 
 }  // namespace
 
@@ -42,37 +39,19 @@ ClusterOptions ClusterOptions::from_env() {
   return o;
 }
 
-namespace {
-
-std::unique_ptr<ModelRegistry> make_default_registry(
-    const core::ParallelEnsembleEngine& engine) {
-  auto r = std::make_unique<ModelRegistry>();
-  r->add("default", engine);
-  return r;
-}
-
-}  // namespace
-
 ClusterForecastServer::ClusterForecastServer(const ModelRegistry& registry,
                                              const ClusterOptions& opts)
-    : registry_(registry),
-      opts_(opts),
-      ledger_(registry_, opts.serve),
-      alive_workers_(std::max(2, opts.ranks) - 1) {
-  opts_.ranks = std::max(2, opts_.ranks);
-  opts_.min_quorum = std::max(1, opts_.min_quorum);
-  opts_.max_outstanding_packs =
-      std::max<std::int64_t>(1, opts_.max_outstanding_packs);
-  opts_.max_ranks = opts_.max_ranks <= 0 ? opts_.ranks
-                                         : std::max(opts_.max_ranks, opts_.ranks);
-  max_workers_ = opts_.max_ranks - 1;
-  manager_ = std::thread([this] { manager_loop(); });
-}
+    : ClusterForecastServer(nullptr, &registry, opts) {}
 
 ClusterForecastServer::ClusterForecastServer(
     const core::ParallelEnsembleEngine& engine, const ClusterOptions& opts)
-    : owned_registry_(make_default_registry(engine)),
-      registry_(*owned_registry_),
+    : ClusterForecastServer(make_default_registry(engine), nullptr, opts) {}
+
+ClusterForecastServer::ClusterForecastServer(
+    std::unique_ptr<ModelRegistry> owned, const ModelRegistry* shared,
+    const ClusterOptions& opts)
+    : owned_registry_(std::move(owned)),
+      registry_(owned_registry_ ? *owned_registry_ : *shared),
       opts_(opts),
       ledger_(registry_, opts.serve),
       alive_workers_(std::max(2, opts.ranks) - 1) {
@@ -169,7 +148,7 @@ void ClusterForecastServer::manager_loop() {
     try {
       world.run([&](int rank) {
         if (rank == 0) {
-          frontend_loop(world, drill_armed);
+          frontend_loop(world);
         } else if (rank <= workers) {
           worker_rank_loop(world, rank, drill_armed);
         } else {
@@ -241,77 +220,28 @@ void ClusterForecastServer::manager_loop() {
 
 bool ClusterForecastServer::dispatch_pack(swipe::World& world,
                                           swipe::HeartbeatMonitor& monitor,
-                                          int worker_rank,
-                                          std::vector<PackItem> items) {
-  FetchedForcings ff = fetch_forcings(items);
-
-  // Split out items whose forcing fetch failed (or whose forcing shape
-  // cannot ride in this pack) and commit them locally as item errors; the
-  // rest travel to the worker. Packs are pure (take_pack groups by
-  // engine), so the first item's variant speaks for the whole pack.
-  const core::ParallelEnsembleEngine& eng = *items.front().a->engine;
-  const core::ModelConfig& mc = eng.model().config();
-  std::int64_t f_dim = -1;
-  std::vector<PackItem> good, bad;
-  std::vector<std::exception_ptr> bad_err;
-  std::vector<core::MemberSlot> slots;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (ff.of[i] == nullptr) {
-      bad.push_back(std::move(items[i]));
-      bad_err.push_back(ff.error[i]);
-      continue;
-    }
-    const Tensor& fo = *ff.of[i];
-    if (fo.ndim() != 3 || fo.dim(0) != mc.h || fo.dim(1) != mc.w ||
-        (f_dim >= 0 && fo.dim(2) != f_dim)) {
-      bad.push_back(std::move(items[i]));
-      bad_err.push_back(std::make_exception_ptr(std::invalid_argument(
-          "forcings must be [H, W, F] with one F per pack")));
-      continue;
-    }
-    if (f_dim < 0) f_dim = fo.dim(2);
-    core::MemberSlot slot;
-    slot.prev = items[i].prev;
-    slot.forcings = &fo;
-    slot.noise = items[i].noise;
-    slots.push_back(slot);
-    good.push_back(std::move(items[i]));
-  }
-
-  bool progressed = false;
-  if (!bad.empty()) {
-    PackOutcome out;
-    out.item_error = std::move(bad_err);
-    out.next.resize(bad.size());
-    ledger_.commit_pack(std::move(bad), std::move(out));
-    progressed = true;
-  }
-  if (good.empty()) return progressed;
-
-  const core::SamplerKind kind = good.front().a->sampler;
-  const int request_steps = good.front().a->solver_steps;
-  const int override_steps =
-      request_steps == eng.solver_steps(kind) ? 0 : request_steps;
+                                          int worker_rank) {
+  Pack pack = ledger_.checkout(ledger_.options().batch);
+  if (pack.items.empty()) return false;
+  const core::ModelConfig& mc = pack.engine->model().config();
   const std::uint64_t pack_id = next_pack_id_++;
   std::vector<float> payload = wire::encode_pack(
-      pack_id, good.front().a->model_index, kind, override_steps,
-      std::span<const core::MemberSlot>(slots), mc.h, mc.w, mc.out_channels,
-      f_dim);
+      pack_id, pack.model_index, pack.sampler, pack.solver_steps_override,
+      std::span<const core::MemberSlot>(pack.slots), mc.h, mc.w,
+      mc.out_channels, pack.slots.front().forcings->dim(2));
   // Record the lease BEFORE the send: a send into a freshly-poisoned world
   // throws, and a lease recorded first is requeued by the manager along
   // with the rest of the incarnation's outstanding work — items checked
   // out of the ledger are never lost in the unwinding.
   monitor.open_lease(worker_rank - 1, pack_id,
                      swipe::HeartbeatMonitor::Clock::now());
-  outstanding_.emplace(pack_id, Lease{std::move(good), Clock::now()});
+  outstanding_.emplace(pack_id, Lease{std::move(pack.items), Clock::now()});
   world.send(0, worker_rank, swipe::kServeWorkTag, std::move(payload),
              swipe::Traffic::kServing);
   return true;
 }
 
-void ClusterForecastServer::frontend_loop(swipe::World& world,
-                                          bool drill_armed) {
-  (void)drill_armed;
+void ClusterForecastServer::frontend_loop(swipe::World& world) {
   const int nslots = world.size() - 1;  // active workers + parked spares
   swipe::HeartbeatMonitor monitor(nslots, opts_.heartbeat_timeout_ms,
                                   opts_.lease_timeout_ms,
@@ -406,7 +336,6 @@ void ClusterForecastServer::frontend_loop(swipe::World& world,
         out.pack_ms = ms_between(lease.sent, Clock::now());
         if (res.ok) {
           out.next = std::move(res.next);
-          out.solved_count = static_cast<std::int64_t>(lease.items.size());
         } else {
           out.solve_error = std::make_exception_ptr(
               std::runtime_error(res.error));
@@ -519,13 +448,8 @@ void ClusterForecastServer::frontend_loop(swipe::World& world,
           best_load = load;
         }
       }
-      if (best < 0) break;
-      std::vector<PackItem> items =
-          ledger_.take_pack(ledger_.options().batch);
-      if (items.empty()) break;
-      if (dispatch_pack(world, monitor, best, std::move(items))) {
-        progressed = true;
-      }
+      if (best < 0 || !dispatch_pack(world, monitor, best)) break;
+      progressed = true;
     }
 
     if (!progressed) {

@@ -14,13 +14,10 @@ namespace {
 
 using Clock = detail::Clock;
 using detail::env_number;
+using detail::ms_between;
 
 /// Jitter draws use this stream id on the ledger's private Philox.
 constexpr std::uint64_t kJitterStream = 1;
-
-double ms_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
 
 std::exception_ptr status_error(RequestStatus status, const std::string& msg) {
   switch (status) {
@@ -88,31 +85,6 @@ void validate_request(const core::ParallelEnsembleEngine& engine,
   if (req.members <= 0 || req.steps <= 0) {
     throw std::invalid_argument("forecast: members and steps must be >= 1");
   }
-}
-
-FetchedForcings fetch_forcings(std::span<const PackItem> items) {
-  FetchedForcings ff;
-  ff.of.assign(items.size(), nullptr);
-  ff.error.resize(items.size());
-  std::map<std::pair<const detail::ActiveRequest*, std::int64_t>,
-           const Tensor*>
-      fetched;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const PackItem& it = items[i];
-    const auto key = std::make_pair(it.a.get(), it.step);
-    if (const auto f = fetched.find(key); f != fetched.end()) {
-      ff.of[i] = f->second;
-      continue;
-    }
-    try {
-      ff.store.push_back(it.a->forcings_at(it.step));
-      ff.of[i] = &ff.store.back();
-      fetched.emplace(key, ff.of[i]);
-    } catch (...) {
-      ff.error[i] = std::current_exception();
-    }
-  }
-  return ff;
 }
 
 RequestLedger::RequestLedger(const ModelRegistry& registry,
@@ -427,6 +399,77 @@ std::vector<PackItem> RequestLedger::take_pack(std::int64_t max_items) {
   return pack;
 }
 
+Pack RequestLedger::checkout(std::int64_t max_items) {
+  Pack pack;
+  std::vector<PackItem> items = take_pack(max_items);
+  if (items.empty()) return pack;
+
+  // Packs are pure (take_pack groups by engine, sampler and solver steps),
+  // so the first item's request speaks for the whole pack.
+  const detail::ActiveRequest& head = *items.front().a;
+  const core::ParallelEnsembleEngine& eng = *head.engine;
+  pack.engine = &eng;
+  pack.model_index = head.model_index;
+  pack.sampler = head.sampler;
+  pack.solver_steps_override =
+      head.solver_steps == eng.solver_steps(head.sampler) ? 0
+                                                          : head.solver_steps;
+  const core::ModelConfig& mc = eng.model().config();
+  const Shape want{mc.h, mc.w, mc.in_channels - 2 * mc.out_channels};
+
+  // Outside the lock: the in-flight members' init/traj tensors are stable
+  // (finalization is deferred while inflight > 0) and forcing fns may be
+  // slow. Each (request, step) is fetched once; only successful fetches
+  // are shared, so a flaky fetch is retried by its request's next item.
+  pack.forcings.reserve(items.size());  // slots point into it
+  std::map<std::pair<const detail::ActiveRequest*, std::int64_t>,
+           const Tensor*>
+      fetched;
+  std::vector<PackItem> failed;
+  std::vector<std::exception_ptr> errors;
+  for (PackItem& item : items) {
+    const auto key = std::make_pair(item.a.get(), item.step);
+    const Tensor* fo = nullptr;
+    if (const auto f = fetched.find(key); f != fetched.end()) {
+      fo = f->second;
+    } else {
+      try {
+        pack.forcings.push_back(item.a->forcings_at(item.step));
+        fo = &pack.forcings.back();
+        fetched.emplace(key, fo);
+      } catch (...) {
+        failed.push_back(std::move(item));
+        errors.push_back(std::current_exception());
+        continue;
+      }
+    }
+    if (fo->shape() != want) {
+      errors.push_back(std::make_exception_ptr(std::invalid_argument(
+          "forcings_at(" + std::to_string(item.step) + ") returned " +
+          shape_to_string(fo->shape()) + "; model '" + item.a->model_name +
+          "' expects [H, W, F] = " + shape_to_string(want))));
+      failed.push_back(std::move(item));
+      continue;
+    }
+    pack.slots.push_back(core::MemberSlot{item.prev, fo, item.noise});
+    pack.items.push_back(std::move(item));
+  }
+
+  if (!failed.empty()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const Clock::time_point now = Clock::now();
+      for (std::size_t i = 0; i < failed.size(); ++i) {
+        --failed[i].a->inflight;
+        if (!failed[i].a->finalized) fault_locked(failed[i], errors[i], now);
+      }
+      sweep_terminal_locked(failed);
+    }
+    cv_.notify_all();
+  }
+  return pack;
+}
+
 void RequestLedger::finalize_locked(
     const std::shared_ptr<detail::ActiveRequest>& a, RequestStatus status,
     std::string msg, std::exception_ptr err) {
@@ -484,32 +527,33 @@ void RequestLedger::finalize_locked(
   a->promise.set_value(std::move(r));
 }
 
-void RequestLedger::fault_locked(Cursor c, const std::exception_ptr& cause,
+void RequestLedger::fault_locked(const PackItem& item,
+                                 const std::exception_ptr& cause,
                                  Clock::time_point now) {
+  if (item.a->doomed) return;  // member dropped; finalized in the sweep
+  Cursor c{item.a, item.member, item.fault_attempts, {}};
   ++c.fault_attempts;
   ++c.a->transient_retries;
   ++stats_.transient_retries;
   if (c.fault_attempts > opts_.max_step_retries) {
-    if (!c.a->doomed) {
-      c.a->doomed = true;
-      c.a->doom_status = RequestStatus::kFault;
-      std::string why = "unknown error";
-      if (cause) {
-        try {
-          std::rethrow_exception(cause);
-        } catch (const std::exception& e) {
-          why = e.what();
-        } catch (...) {
-        }
+    c.a->doomed = true;
+    c.a->doom_status = RequestStatus::kFault;
+    std::string why = "unknown error";
+    if (cause) {
+      try {
+        std::rethrow_exception(cause);
+      } catch (const std::exception& e) {
+        why = e.what();
+      } catch (...) {
       }
-      c.a->doom_msg = "transient fault persisted after " +
-                      std::to_string(opts_.max_step_retries) +
-                      " retries: " + why;
-      c.a->doom_err = cause != nullptr
-                          ? cause
-                          : std::make_exception_ptr(
-                                std::runtime_error(c.a->doom_msg));
     }
+    c.a->doom_msg = "transient fault persisted after " +
+                    std::to_string(opts_.max_step_retries) +
+                    " retries: " + why;
+    c.a->doom_err = cause != nullptr
+                        ? cause
+                        : std::make_exception_ptr(
+                              std::runtime_error(c.a->doom_msg));
     return;
   }
   const double jitter = jitter_rng_.uniform(
@@ -553,18 +597,17 @@ void RequestLedger::sweep_terminal_locked(std::span<const PackItem> items) {
 void RequestLedger::commit_pack(std::vector<PackItem> items, PackOutcome out) {
   std::lock_guard<std::mutex> lock(mu_);
   const Clock::time_point now = Clock::now();
-  if (out.solved_count > 0 && out.solve_error == nullptr && !items.empty()) {
+  if (out.solve_error == nullptr && !items.empty()) {
     // Packs never mix variants, so the whole pack's cost feeds exactly one
     // variant's EMA (the serving variant — items carry the post-fallback
     // index).
     const double per_member =
-        out.pack_ms / static_cast<double>(out.solved_count);
+        out.pack_ms / static_cast<double>(items.size());
     double& ema = ema_member_step_ms_[items.front().a->model_index];
     ema = ema == 0.0 ? per_member : 0.8 * ema + 0.2 * per_member;
     ++stats_.packs;
   }
 
-  if (out.item_error.size() < items.size()) out.item_error.resize(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     PackItem& item = items[i];
     const std::shared_ptr<detail::ActiveRequest>& a = item.a;
@@ -573,16 +616,8 @@ void RequestLedger::commit_pack(std::vector<PackItem> items, PackOutcome out) {
 
     if (a->finalized) continue;  // lost a race with a shutdown finalize
 
-    const bool had_result =
-        out.item_error[i] == nullptr && out.solve_error == nullptr &&
-        i < out.next.size();
-    if (!had_result) {
-      if (!a->doomed) {
-        fault_locked(Cursor{a, item.member, item.fault_attempts, {}},
-                     out.item_error[i] != nullptr ? out.item_error[i]
-                                                  : out.solve_error,
-                     now);
-      }
+    if (out.solve_error != nullptr || i >= out.next.size()) {
+      fault_locked(item, out.solve_error, now);
       continue;
     }
     if (a->doomed) continue;  // member dropped; finalized in the sweep

@@ -5,6 +5,13 @@
 
 namespace aeris::serving {
 
+std::unique_ptr<ModelRegistry> make_default_registry(
+    const core::ParallelEnsembleEngine& engine) {
+  auto r = std::make_unique<ModelRegistry>();
+  r->add("default", engine);
+  return r;
+}
+
 std::int64_t ModelRegistry::add(const std::string& name,
                                 const core::ParallelEnsembleEngine& engine,
                                 int skill_tier) {

@@ -377,9 +377,6 @@ class Communicator {
   std::vector<std::vector<float>> alltoall(
       std::vector<std::vector<float>> send);
 
-  /// Reduce-scatter (sum): rank r returns the reduced r-th equal chunk.
-  std::vector<float> reduce_scatter_sum(std::span<const float> data);
-
   void barrier();
 
  private:

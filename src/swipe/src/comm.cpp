@@ -829,32 +829,6 @@ std::vector<std::vector<float>> Communicator::alltoall(
   return out;
 }
 
-std::vector<float> Communicator::reduce_scatter_sum(
-    std::span<const float> data) {
-  const int r = size();
-  const std::int64_t n = static_cast<std::int64_t>(data.size());
-  auto chunk_begin = [&](int c) { return (n * c) / r; };
-  const std::uint64_t tag = collective_epoch_++;
-  // Pairwise: send each peer its chunk of my data, sum received chunks.
-  for (int peer = 0; peer < r; ++peer) {
-    if (peer == rank()) continue;
-    const std::int64_t b = chunk_begin(peer);
-    const std::int64_t e = chunk_begin(peer + 1);
-    isend(peer, tag,
-          std::vector<float>(data.begin() + b, data.begin() + e),
-          Traffic::kReduceScatter);
-  }
-  const std::int64_t mb = chunk_begin(rank());
-  const std::int64_t me_end = chunk_begin(rank() + 1);
-  std::vector<float> out(data.begin() + mb, data.begin() + me_end);
-  for (int peer = 0; peer < r; ++peer) {
-    if (peer == rank()) continue;
-    std::vector<float> in = recv(peer, tag);
-    for (std::size_t i = 0; i < in.size(); ++i) out[i] += in[i];
-  }
-  return out;
-}
-
 void Communicator::barrier() {
   const std::uint64_t tag = collective_epoch_++;
   // All-to-root-and-back. Control messages are empty and accounted under

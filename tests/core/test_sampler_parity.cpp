@@ -103,26 +103,5 @@ TEST(SamplerParity, ConsistencyMixedSeedsEveryFewStepCount) {
   }
 }
 
-TEST(SamplerParity, SharedSeedOverloadMatchesPerMemberKeys) {
-  // The shared-seed overloads must delegate exactly (same seed for every
-  // slab) for all three samplers.
-  TrigFlow tf(TrigFlowConfig{});
-  const std::uint64_t seed = 77;
-  const std::vector<std::uint64_t> plain_keys = {0, 4096 + 1, 2 * 4096};
-  std::vector<MemberKey> mk;
-  for (std::uint64_t k : plain_keys) mk.push_back(MemberKey{seed, k});
-
-  ConsistencySamplerConfig cc;
-  cc.steps = 2;
-  Tensor a = sample_consistency_batched(
-      toy_velocity, {kN}, tf, cc, Philox(seed),
-      std::span<const std::uint64_t>(plain_keys));
-  Tensor b = sample_consistency_batched(toy_velocity, {kN}, tf, cc,
-                                        std::span<const MemberKey>(mk));
-  ASSERT_EQ(std::memcmp(a.data(), b.data(),
-                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
-            0);
-}
-
 }  // namespace
 }  // namespace aeris::core

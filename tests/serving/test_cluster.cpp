@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -67,12 +68,16 @@ Tensor make_forcing(std::int64_t step) {
   return f;
 }
 
-ParallelEnsembleEngine make_engine(const AerisModel& model) {
-  core::TrigFlowConfig tf;
+core::TrigSamplerConfig cl_sampler() {
   core::TrigSamplerConfig sc;
   sc.steps = 3;
   sc.churn = 0.5f;
-  return ParallelEnsembleEngine(model, tf, sc, 0);
+  return sc;
+}
+
+ParallelEnsembleEngine make_engine(const AerisModel& model) {
+  return ParallelEnsembleEngine(model, core::TrigFlowConfig{}, cl_sampler(),
+                                0);
 }
 
 ForecastRequest make_request(std::uint64_t seed, std::int64_t members,
@@ -413,6 +418,74 @@ TEST(ClusterForecastServer, StopIsCleanAndIdempotent) {
   const ForecastResult r = cluster.forecast(make_request(3, 1, 1));
   EXPECT_EQ(r.status, RequestStatus::kRejected);
   EXPECT_NE(r.error, nullptr);
+}
+
+// Forcings of the wrong shape fault only their own request, on the cluster
+// front-end too. The front-end rank fetches forcings before it dispatches,
+// so a gate request blocking in its first fetch holds dispatch while a
+// bad-F request and a healthy one queue behind it, in that order: the next
+// pack carries the bad item first.
+TEST(ClusterForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
+  AerisModel model = make_model(53);
+  ParallelEnsembleEngine engine = make_engine(model);
+  ClusterOptions co;
+  co.ranks = 2;
+  co.serve.batch = 4;
+  co.serve.max_step_retries = 0;  // no backoff timing involved
+  ClusterForecastServer cluster(engine, co);
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  const core::ForcingFn gate_fn = [&](std::int64_t s) {
+    entered.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return make_forcing(s);
+  };
+  const auto wait_accepted = [&](std::int64_t n) {
+    while (cluster.stats().accepted < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  ForecastResult gate_r, bad_r, good_r;
+  std::thread gate([&] {
+    ForecastRequest req = make_request(1, 1, 1);
+    req.forcings_at = gate_fn;
+    gate_r = cluster.forecast(req);
+  });
+  while (!entered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread bad([&] {
+    ForecastRequest req = make_request(2, 1, 1);
+    req.forcings_at = [](std::int64_t) { return Tensor({8, 8, 3}); };
+    bad_r = cluster.forecast(req);
+  });
+  wait_accepted(2);
+  std::thread good([&] { good_r = cluster.forecast(make_request(61, 2, 2)); });
+  wait_accepted(3);
+  release.store(true);
+  gate.join();
+  bad.join();
+  good.join();
+
+  EXPECT_EQ(gate_r.status, RequestStatus::kOk) << gate_r.error_message;
+  ASSERT_EQ(good_r.status, RequestStatus::kOk) << good_r.error_message;
+  core::DiffusionForecaster serial(model, core::TrigFlowConfig{},
+                                   cl_sampler(), 61);
+  const auto ref = serial.ensemble_rollout(make_init(61), make_forcing, 2, 2);
+  ForecastResult want;
+  want.status = RequestStatus::kOk;
+  want.trajectories = ref;
+  expect_bitwise_equal(want, good_r);
+  EXPECT_EQ(bad_r.status, RequestStatus::kFault);
+  EXPECT_NE(bad_r.error_message.find("[8, 8, 3]"), std::string::npos)
+      << bad_r.error_message;
+  EXPECT_NE(bad_r.error_message.find("[8, 8, 2]"), std::string::npos)
+      << bad_r.error_message;
+  EXPECT_EQ(cluster.stats().faulted, 1);
 }
 
 TEST(ClusterOptions, FromEnvReadsKnobs) {

@@ -663,7 +663,7 @@ TEST(MultiModelLedger, PacksNeverMixVariantsOrSamplerFamilies) {
   std::map<const core::ParallelEnsembleEngine*, int> engines_seen;
   std::map<SamplerKind, int> samplers_seen;
   for (;;) {
-    std::vector<PackItem> pack = ledger.take_pack(5);
+    const std::vector<PackItem> pack = ledger.checkout(5).items;
     if (pack.empty()) break;
     const core::ParallelEnsembleEngine* engine = pack.front().a->engine;
     const SamplerKind sampler = pack.front().a->sampler;
@@ -726,16 +726,16 @@ TEST(MultiModelLedger, SlowVariantBacklogNeverDegradesAFastVariant) {
   };
   // Checks one pack out and commits it as if the solve took `fine_ms`
   // (fine packs) or 1 ms (anything else), advancing each member with a
-  // copy of its previous state — the EMA reads only pack_ms/solved_count.
+  // copy of its previous state — the EMA reads only pack_ms and the pack
+  // size.
   const auto pump_one = [&](double fine_ms) -> std::string {
-    std::vector<PackItem> pack = ledger.take_pack(32);
-    if (pack.empty()) return "";
-    const std::string name = pack.front().a->model_name;
+    Pack pack = ledger.checkout(32);
+    if (pack.items.empty()) return "";
+    const std::string name = pack.items.front().a->model_name;
     PackOutcome out;
     out.pack_ms = name == "fine" ? fine_ms : 1.0;
-    out.solved_count = static_cast<std::int64_t>(pack.size());
-    for (const PackItem& item : pack) out.next.push_back(*item.prev);
-    ledger.commit_pack(std::move(pack), std::move(out));
+    for (const PackItem& item : pack.items) out.next.push_back(*item.prev);
+    ledger.commit_pack(std::move(pack.items), std::move(out));
     return name;
   };
   const auto drain = [&](double fine_ms) {
@@ -754,14 +754,13 @@ TEST(MultiModelLedger, SlowVariantBacklogNeverDegradesAFastVariant) {
 
   // Force the slow EMA high via a direct huge-cost commit.
   {
-    std::vector<PackItem> pack = ledger.take_pack(32);
-    ASSERT_FALSE(pack.empty());
-    ASSERT_EQ(pack.front().a->model_name, "slow");
+    Pack pack = ledger.checkout(32);
+    ASSERT_FALSE(pack.items.empty());
+    ASSERT_EQ(pack.items.front().a->model_name, "slow");
     PackOutcome out;
     out.pack_ms = 1.0e6;
-    out.solved_count = static_cast<std::int64_t>(pack.size());
-    for (const PackItem& item : pack) out.next.push_back(*item.prev);
-    ledger.commit_pack(std::move(pack), std::move(out));
+    for (const PackItem& item : pack.items) out.next.push_back(*item.prev);
+    ledger.commit_pack(std::move(pack.items), std::move(out));
   }
 
   // The regression claim: a fine admission is routed on the fine variant's

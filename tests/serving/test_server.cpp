@@ -730,6 +730,90 @@ TEST(ForecastServer, MalformedRequestsThrow) {
   EXPECT_THROW(server.forecast(zero_members), std::invalid_argument);
 }
 
+// Forcings of the wrong shape fault only their own request: they never
+// ride into a healthy batch-mate's stacked solve. A gate request holds the
+// single worker inside its first forcing fetch while a bad-F request and a
+// healthy one queue behind it, so the next checkout sees both at once.
+TEST(ForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
+  AerisModel model = make_model(53);
+  core::TrigFlowConfig tf;
+  core::TrigSamplerConfig sc;
+  sc.steps = 2;
+  ParallelEnsembleEngine engine(model, tf, sc, 0);
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.batch = 4;
+  // No retries: a failed shared solve would fault the healthy request on
+  // its first attempt, with no backoff timing involved.
+  opts.max_step_retries = 0;
+  ForecastServer server(engine, opts);
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  const ForcingFn gate_fn = [&](std::int64_t s) {
+    entered.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return make_forcing(s);
+  };
+  const ForcingFn wrong_f = [](std::int64_t) { return Tensor({8, 8, 3}); };
+  const auto wait_accepted = [&](std::int64_t n) {
+    while (server.stats().accepted < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  ForecastResult gate_r, bad_r, good_r;
+  std::thread gate([&] {
+    ForecastRequest req;
+    req.init = make_init(1);
+    req.forcings_at = gate_fn;
+    gate_r = server.forecast(req);
+  });
+  while (!entered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread bad([&] {
+    ForecastRequest req;
+    req.init = make_init(2);
+    req.forcings_at = wrong_f;
+    bad_r = server.forecast(req);
+  });
+  wait_accepted(2);
+  std::thread good([&] {
+    ForecastRequest req;
+    req.init = make_init(3);
+    req.forcings_at = make_forcing;
+    req.members = 2;
+    req.steps = 2;
+    req.seed = 61;
+    good_r = server.forecast(req);
+  });
+  wait_accepted(3);
+  release.store(true);
+  gate.join();
+  bad.join();
+  good.join();
+
+  EXPECT_EQ(gate_r.status, RequestStatus::kOk) << gate_r.error_message;
+  ASSERT_EQ(good_r.status, RequestStatus::kOk) << good_r.error_message;
+  DiffusionForecaster serial(model, tf, sc, 61);
+  const auto ref = serial.ensemble_rollout(make_init(3), make_forcing, 2, 2);
+  for (std::size_t m = 0; m < 2; ++m) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      expect_bitwise_equal(ref[m][s], good_r.trajectories[m][s],
+                           "healthy batch-mate");
+    }
+  }
+  EXPECT_EQ(bad_r.status, RequestStatus::kFault);
+  EXPECT_NE(bad_r.error_message.find("[8, 8, 3]"), std::string::npos)
+      << bad_r.error_message;
+  EXPECT_NE(bad_r.error_message.find("[8, 8, 2]"), std::string::npos)
+      << bad_r.error_message;
+  EXPECT_EQ(server.stats().faulted, 1);
+}
+
 TEST(ForecastServer, FromEnvReadsKnobs) {
   ::setenv("AERIS_SERVE_QUEUE_CAP", "7", 1);
   ::setenv("AERIS_SERVE_DEADLINE_MS", "125.5", 1);

@@ -409,24 +409,6 @@ TEST(Comm, AlltoallSupportsRaggedBuffers) {
   });
 }
 
-TEST(Comm, ReduceScatterSumsChunks) {
-  const int n = 4;
-  World world(n);
-  world.run([&](int rank) {
-    Communicator comm(world, all_ranks(n), rank, 6);
-    std::vector<float> data(8);
-    for (int i = 0; i < 8; ++i) {
-      data[static_cast<std::size_t>(i)] = static_cast<float>(rank + i);
-    }
-    const auto mine = comm.reduce_scatter_sum(data);
-    ASSERT_EQ(mine.size(), 2u);  // 8 / 4
-    // chunk r covers elements [2r, 2r+2); sum over ranks of (rank + i).
-    const float base = static_cast<float>(n * (n - 1) / 2);
-    EXPECT_FLOAT_EQ(mine[0], base + static_cast<float>(n * (2 * rank)));
-    EXPECT_FLOAT_EQ(mine[1], base + static_cast<float>(n * (2 * rank + 1)));
-  });
-}
-
 TEST(Comm, BarrierCompletes) {
   const int n = 5;
   World world(n);
