@@ -6,6 +6,10 @@
 #include <stdexcept>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "aeris/core/cursor.hpp"
 #include "aeris/tensor/ops.hpp"
 #include "aeris/tensor/recycle.hpp"
@@ -248,6 +252,15 @@ std::vector<std::vector<Tensor>> ParallelEnsembleEngine::ensemble_rollout(
   pool.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
+#if defined(__GLIBC__)
+  // Each exited driver leaves its heap arena behind, and glibc hands an
+  // arena's free pages back only when its top chunk crosses a trim
+  // threshold that moves with past allocations. Whether a driver's
+  // megabytes of activations stay resident after the call would then
+  // hinge on where its last buffers landed; return them now, so every
+  // call leaves the same footprint.
+  malloc_trim(0);
+#endif
   if (first_error) std::rethrow_exception(first_error);
   return out;
 }

@@ -12,9 +12,10 @@ namespace aeris::nn {
 /// With `probs_out != nullptr` (training) the softmax probabilities
 /// [B, H, T, T] are materialized for the backward pass. With
 /// `probs_out == nullptr` (inference/sampling) no [B, H, T, T] tensor is
-/// ever allocated: window-sized sequences run a fused per-head kernel
-/// (contiguous q/k/v gather, direct SIMD score dot products, full-row
-/// softmax on fast_expf, direct P@V) and longer sequences fall back to the
+/// ever allocated: this runs the same strided kernel as WindowAttention's
+/// inference forward, where each (batch, head) reads its q/k/v rows in
+/// place. T <= 256 takes the fused full-row kernel (QK^T GEMM, softmax on
+/// fast_expf four rows per pass, P@V GEMM); longer sequences take the
 /// streaming online-softmax tile path.
 Tensor attention_core_forward(const Tensor& q, const Tensor& k,
                               const Tensor& v, std::int64_t heads,
@@ -47,8 +48,9 @@ class WindowAttention {
 
   void init(const Philox& rng, std::uint64_t index);
 
-  /// x: [B, win_h*win_w, dim]. With an inference-mode ctx the streaming
-  /// online-softmax core is used and nothing is retained; with a
+  /// x: [B, win_h*win_w, dim]. With an inference-mode ctx the attention
+  /// kernel reads q/k/v straight from the qkv GEMM output, rotates q and k
+  /// per (window, head) from the RoPE table, and retains nothing; with a
   /// training-mode ctx post-RoPE q/k, raw v and the softmax probabilities
   /// are deposited into the ctx for backward.
   Tensor forward(const Tensor& x, FwdCtx& ctx) const;
@@ -69,7 +71,8 @@ class WindowAttention {
   Linear qkv_;
   Linear proj_;
   AxialRope rope_;
-  Tensor coords_;  // [T, 2] window-local
+  Tensor coords_;                  // [T, 2] window-local
+  std::vector<float> rope_table_;  // rope_.table(coords_), built once
   LayerId id_;
 };
 

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "aeris/tensor/tensor.hpp"
 
 namespace aeris::nn {
@@ -27,6 +29,19 @@ class AxialRope {
   /// rotation (exactly the gradient of the forward rotation).
   void apply(Tensor& x, std::int64_t num_heads, const Tensor& coords,
              bool inverse = false) const;
+
+  /// Per-token cos/sin table for `coords` ([T, 2]): head_dim floats per
+  /// token, (cos row, sin row, cos col, sin col) per frequency. apply()
+  /// builds it on every call; a layer whose coordinates never change
+  /// builds it once and rotates with rotate().
+  std::vector<float> table(const Tensor& coords, bool inverse = false) const;
+
+  /// Rotates one head vector: dst[0, head_dim) = R src[0, head_dim), with
+  /// `cs` the token's row of table(). `src` may equal `dst`. apply() runs
+  /// this same compiled function, so both give the same bits in every
+  /// build (an inlined copy could be contracted or vectorized differently
+  /// at each call site).
+  void rotate(const float* src, float* dst, const float* cs) const;
 
  private:
   std::int64_t head_dim_;

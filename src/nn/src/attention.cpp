@@ -23,59 +23,107 @@ constexpr std::int64_t kKBlock = 64;
 // full [t, t] score buffer it materializes stays <= 256 KiB of arena.
 constexpr std::int64_t kFusedMaxT = 256;
 
+// One softmax row of the fused kernel, in place: exp(s - max) with the
+// row's 1/sum into *inv.
+void softmax_row(float* srow, std::int64_t t, float* inv) {
+  float mx = srow[0];
+#pragma omp simd reduction(max : mx)
+  for (std::int64_t j = 1; j < t; ++j) mx = std::max(mx, srow[j]);
+  if (!(mx < std::numeric_limits<float>::infinity())) {
+    // NaN or +Inf scores (non-finite model state): the branch-free exp
+    // below would quietly flush them to finite noise, so poison the row
+    // here instead — inv = NaN turns the whole output row NaN after the
+    // P@V GEMM, keeping the quarantine's all_finite checks sound.
+    for (std::int64_t j = 0; j < t; ++j) srow[j] = 0.0f;
+    *inv = std::numeric_limits<float>::quiet_NaN();
+    return;
+  }
+  float sum = 0.0f;
+#pragma omp simd reduction(+ : sum)
+  for (std::int64_t j = 0; j < t; ++j) {
+    const float e = fast_expf_clamped(srow[j] - mx);
+    srow[j] = e;
+    sum += e;
+  }
+  *inv = 1.0f / sum;
+}
+
+// Four consecutive rows of softmax_row in one pass. One row's max and sum
+// are serial chains of horizontal reductions; four independent chains
+// overlap. Each row keeps its own reduction variable and the loop body of
+// softmax_row, so every row gets the bits softmax_row gives it.
+void softmax_rows4(float* s, std::int64_t t, float* inv) {
+  float* r0 = s;
+  float* r1 = s + t;
+  float* r2 = s + 2 * t;
+  float* r3 = s + 3 * t;
+  float m0 = r0[0], m1 = r1[0], m2 = r2[0], m3 = r3[0];
+#pragma omp simd reduction(max : m0, m1, m2, m3)
+  for (std::int64_t j = 1; j < t; ++j) {
+    m0 = std::max(m0, r0[j]);
+    m1 = std::max(m1, r1[j]);
+    m2 = std::max(m2, r2[j]);
+    m3 = std::max(m3, r3[j]);
+  }
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  if (!(m0 < kInf && m1 < kInf && m2 < kInf && m3 < kInf)) {
+    for (std::int64_t r = 0; r < 4; ++r) softmax_row(s + r * t, t, inv + r);
+    return;
+  }
+  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+#pragma omp simd reduction(+ : s0, s1, s2, s3)
+  for (std::int64_t j = 0; j < t; ++j) {
+    const float e0 = fast_expf_clamped(r0[j] - m0);
+    const float e1 = fast_expf_clamped(r1[j] - m1);
+    const float e2 = fast_expf_clamped(r2[j] - m2);
+    const float e3 = fast_expf_clamped(r3[j] - m3);
+    r0[j] = e0;
+    r1[j] = e1;
+    r2[j] = e2;
+    r3[j] = e3;
+    s0 += e0;
+    s1 += e1;
+    s2 += e2;
+    s3 += e3;
+  }
+  inv[0] = 1.0f / s0;
+  inv[1] = 1.0f / s1;
+  inv[2] = 1.0f / s2;
+  inv[3] = 1.0f / s3;
+}
+
 /// One (batch, head) attention problem for window-sized sequences, fused:
 /// the full [t, t] score matrix is one serial GEMM, the softmax runs over
 /// complete rows with fast_expf (no online-softmax running statistics or
-/// rescale corrections), and P@V is a second serial GEMM writing straight
-/// into the strided output with the 1/rowsum normalization folded into a
-/// final in-place row scale. Compared to the tiled streaming path this
-/// halves the GEMM-call count at window sizes, drops the correction
-/// passes, and swaps std::exp for the vectorizable polynomial exp — the
-/// register-tiled GEMM kernel is kept because it outruns any plain loop
-/// nest by a wide margin even at dh = 8. Serial by design — the caller
-/// parallelizes over (batch, head).
-void fused_head_forward(const float* q, const float* k, const float* v,
-                        std::int64_t t, std::int64_t row_stride,
-                        std::int64_t dh, float scale, float* out) {
+/// rescale corrections), four rows per pass, and P@V is a second serial
+/// GEMM writing straight into the strided output with the 1/rowsum
+/// normalization folded into a final in-place row scale. Compared to the
+/// tiled streaming path this halves the GEMM-call count at window sizes,
+/// drops the correction passes, and swaps std::exp for the vectorizable
+/// polynomial exp — the register-tiled GEMM kernel is kept because it
+/// outruns any plain loop nest by a wide margin even at dh = 8. Serial by
+/// design — the caller parallelizes over (batch, head).
+void fused_head_forward(const float* q, const float* k, std::int64_t ldqk,
+                        const float* v, std::int64_t ldv, std::int64_t t,
+                        std::int64_t dh, float scale, float* out,
+                        std::int64_t ldo) {
   ScratchArena& arena = ScratchArena::for_current_thread();
   ScratchArena::Scope scope(arena);
   float* s = arena.alloc_floats(t * t);
   float* inv = arena.alloc_floats(t);
 
   // s = scale * Q @ K^T   (t x t)
-  gemm_serial(false, true, t, t, dh, scale, q, row_stride, k, row_stride,
-              0.0f, s, t);
+  gemm_serial(false, true, t, t, dh, scale, q, ldqk, k, ldqk, 0.0f, s, t);
 
-  for (std::int64_t i = 0; i < t; ++i) {
-    float* srow = s + i * t;
-    float mx = srow[0];
-#pragma omp simd reduction(max : mx)
-    for (std::int64_t j = 1; j < t; ++j) mx = std::max(mx, srow[j]);
-    if (!(mx < std::numeric_limits<float>::infinity())) {
-      // NaN or +Inf scores (non-finite model state): the branch-free exp
-      // below would quietly flush them to finite noise, so poison the row
-      // here instead — inv = NaN turns the whole output row NaN after the
-      // P@V GEMM, keeping the quarantine's all_finite checks sound.
-      for (std::int64_t j = 0; j < t; ++j) srow[j] = 0.0f;
-      inv[i] = std::numeric_limits<float>::quiet_NaN();
-      continue;
-    }
-    float sum = 0.0f;
-#pragma omp simd reduction(+ : sum)
-    for (std::int64_t j = 0; j < t; ++j) {
-      const float e = fast_expf_clamped(srow[j] - mx);
-      srow[j] = e;
-      sum += e;
-    }
-    inv[i] = 1.0f / sum;
-  }
+  std::int64_t i = 0;
+  for (; i + 4 <= t; i += 4) softmax_rows4(s + i * t, t, inv + i);
+  for (; i < t; ++i) softmax_row(s + i * t, t, inv + i);
 
   // out = P @ V  (t x dh), unnormalized; then scale each row by 1/rowsum.
-  gemm_serial(false, false, t, dh, t, 1.0f, s, t, v, row_stride, 0.0f, out,
-              row_stride);
-  for (std::int64_t i = 0; i < t; ++i) {
-    float* dst = out + i * row_stride;
-    for (std::int64_t d = 0; d < dh; ++d) dst[d] *= inv[i];
+  gemm_serial(false, false, t, dh, t, 1.0f, s, t, v, ldv, 0.0f, out, ldo);
+  for (std::int64_t r = 0; r < t; ++r) {
+    float* dst = out + r * ldo;
+    for (std::int64_t d = 0; d < dh; ++d) dst[d] *= inv[r];
   }
 }
 
@@ -89,9 +137,10 @@ struct AttnCache {
 /// out[qi, :] = softmax(scale * q @ k^T)[qi, :] @ v, computed blockwise
 /// over keys with an online softmax so no [T, T] buffer ever exists. All
 /// GEMMs are serial — the caller parallelizes over (batch, head).
-void streaming_head_forward(const float* q, const float* k, const float* v,
-                            std::int64_t t, std::int64_t row_stride,
-                            std::int64_t dh, float scale, float* out) {
+void streaming_head_forward(const float* q, const float* k, std::int64_t ldqk,
+                            const float* v, std::int64_t ldv, std::int64_t t,
+                            std::int64_t dh, float scale, float* out,
+                            std::int64_t ldo) {
   ScratchArena& arena = ScratchArena::for_current_thread();
   ScratchArena::Scope scope(arena);
   const std::int64_t qb_max = std::min(kQBlock, t);
@@ -112,8 +161,8 @@ void streaming_head_forward(const float* q, const float* k, const float* v,
     for (std::int64_t k0 = 0; k0 < t; k0 += kb_max) {
       const std::int64_t kb = std::min(kb_max, t - k0);
       // s = scale * Q_blk @ K_blk^T   (qb x kb)
-      gemm_serial(false, true, qb, kb, dh, scale, q + q0 * row_stride,
-                  row_stride, k + k0 * row_stride, row_stride, 0.0f, s, kb_max);
+      gemm_serial(false, true, qb, kb, dh, scale, q + q0 * ldqk, ldqk,
+                  k + k0 * ldqk, ldqk, 0.0f, s, kb_max);
       // Online softmax update per row.
       for (std::int64_t i = 0; i < qb; ++i) {
         float* srow = s + i * kb_max;
@@ -137,16 +186,61 @@ void streaming_head_forward(const float* q, const float* k, const float* v,
         }
       }
       // oacc += P_blk @ V_blk   (qb x dh)
-      gemm_serial(false, false, qb, dh, kb, 1.0f, s, kb_max,
-                  v + k0 * row_stride, row_stride, 1.0f, oacc, dh);
+      gemm_serial(false, false, qb, dh, kb, 1.0f, s, kb_max, v + k0 * ldv,
+                  ldv, 1.0f, oacc, dh);
     }
     for (std::int64_t i = 0; i < qb; ++i) {
       const float inv = 1.0f / row_sum[i];
-      float* dst = out + (q0 + i) * row_stride;
+      float* dst = out + (q0 + i) * ldo;
       const float* orow = oacc + i * dh;
       for (std::int64_t d = 0; d < dh; ++d) dst[d] = orow[d] * inv;
     }
   }
+}
+
+/// The inference attention kernel behind both entry points: b windows of
+/// t tokens, q/k/v rows read in place at row stride `ld` (3C straight out
+/// of WindowAttention's qkv GEMM, C for separate tensors), out rows written
+/// at stride `ldo`. With a RoPE table (table() rows of `rope`), each task
+/// rotates its head's q and k rows into its arena first, so no rotated
+/// copy of the whole tensor exists. Parallel over the independent
+/// (window, head) problems; each chunk uses only its own thread's arena
+/// and serial kernels, and a problem's bits do not depend on the strides.
+void attention_infer(const float* q, const float* k, const float* v,
+                     std::int64_t ld, float* out, std::int64_t ldo,
+                     std::int64_t b, std::int64_t t, std::int64_t heads,
+                     std::int64_t dh, const AxialRope* rope,
+                     const float* rope_table) {
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  parallel_for(b * heads, [&](std::int64_t h0, std::int64_t h1) {
+    for (std::int64_t bh = h0; bh < h1; ++bh) {
+      const std::int64_t off = bh / heads * t * ld + bh % heads * dh;
+      float* o = out + bh / heads * t * ldo + bh % heads * dh;
+      ScratchArena& arena = ScratchArena::for_current_thread();
+      ScratchArena::Scope scope(arena);
+      const float* qh = q + off;
+      const float* kh = k + off;
+      std::int64_t ldqk = ld;
+      if (rope != nullptr) {
+        float* qr = arena.alloc_floats(t * dh);
+        float* kr = arena.alloc_floats(t * dh);
+        for (std::int64_t tok = 0; tok < t; ++tok) {
+          const float* cs = rope_table + tok * dh;
+          rope->rotate(qh + tok * ld, qr + tok * dh, cs);
+          rope->rotate(kh + tok * ld, kr + tok * dh, cs);
+        }
+        qh = qr;
+        kh = kr;
+        ldqk = dh;
+      }
+      if (t <= kFusedMaxT) {
+        fused_head_forward(qh, kh, ldqk, v + off, ld, t, dh, scale, o, ldo);
+      } else {
+        streaming_head_forward(qh, kh, ldqk, v + off, ld, t, dh, scale, o,
+                               ldo);
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -165,26 +259,9 @@ Tensor attention_core_forward(const Tensor& q, const Tensor& k,
   Tensor out({b, t, c});
 
   if (probs_out == nullptr) {
-    // Inference/sampling path: no [B,H,T,T] tensor. Window-sized sequences
-    // take the fused kernel, longer ones stream. Parallelize over the
-    // independent (batch, head) problems; each chunk uses only its own
-    // thread's arena and serial kernels.
-    const bool fused = t <= kFusedMaxT;
-    parallel_for(b * heads, [&](std::int64_t h0, std::int64_t h1) {
-      for (std::int64_t bh = h0; bh < h1; ++bh) {
-        const std::int64_t bb = bh / heads;
-        const std::int64_t h = bh % heads;
-        const std::int64_t off = bb * t * c + h * dh;
-        if (fused) {
-          fused_head_forward(q.data() + off, k.data() + off, v.data() + off,
-                             t, c, dh, scale, out.data() + off);
-        } else {
-          streaming_head_forward(q.data() + off, k.data() + off,
-                                 v.data() + off, t, c, dh, scale,
-                                 out.data() + off);
-        }
-      }
-    });
+    // Inference/sampling path: no [B,H,T,T] tensor.
+    attention_infer(q.data(), k.data(), v.data(), c, out.data(), c, b, t,
+                    heads, dh, nullptr, nullptr);
     return out;
   }
 
@@ -249,7 +326,8 @@ WindowAttention::WindowAttention(std::string name, std::int64_t dim,
       qkv_(name + ".qkv", dim, 3 * dim, /*bias=*/true),
       proj_(name + ".proj", dim, dim, /*bias=*/true),
       rope_(dim / num_heads, rope_base),
-      coords_(window_coords(0, 0, win_h, win_w, win_h, win_w)) {
+      coords_(window_coords(0, 0, win_h, win_w, win_h, win_w)),
+      rope_table_(rope_.table(coords_)) {
   if (dim % num_heads != 0) {
     throw std::invalid_argument("WindowAttention: dim % heads != 0");
   }
@@ -270,13 +348,13 @@ Tensor WindowAttention::forward(const Tensor& x, FwdCtx& ctx) const {
   Tensor qkv = qkv_.forward(x, ctx);  // [B, T, 3C]
 
   if (ctx.inference()) {
-    // Fused/streaming path: nothing retained, no [B,H,T,T] materialization.
-    Tensor q = slice(qkv, 2, 0, dim_);
-    Tensor k = slice(qkv, 2, dim_, 2 * dim_);
-    Tensor v = slice(qkv, 2, 2 * dim_, 3 * dim_);
-    rope_.apply(q, heads_, coords_);
-    rope_.apply(k, heads_, coords_);
-    Tensor attn_out = attention_core_forward(q, k, v, heads_);
+    // q/k/v are read in place from the qkv rows and rotated per task:
+    // nothing retained, no q/k/v copies, no [B,H,T,T] materialization.
+    const std::int64_t b = x.dim(0);
+    Tensor attn_out({b, t, dim_});
+    attention_infer(qkv.data(), qkv.data() + dim_, qkv.data() + 2 * dim_,
+                    3 * dim_, attn_out.data(), dim_, b, t, heads_, head_dim(),
+                    &rope_, rope_table_.data());
     return proj_.forward(attn_out, ctx);
   }
 

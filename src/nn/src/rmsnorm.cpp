@@ -12,6 +12,48 @@ struct RMSNormCache {
   Tensor inv_rms;  // [rows]
 };
 
+// Normalizes `rows` rows of `dim` floats (g == nullptr: no gain), storing
+// each row's inverse RMS in inv_out when it is not null. A row's double
+// sum of squares is a serial chain of dim adds, so four rows run side by
+// side: four independent chains overlap, and each still adds its own row
+// in column order, which keeps the one-row bits.
+void rms_rows(const float* x, std::int64_t rows, std::int64_t dim, float eps,
+              const float* g, float* y, float* inv_out) {
+  const auto finish = [&](std::int64_t r, double ss) {
+    const float inv = 1.0f / std::sqrt(static_cast<float>(ss / dim) + eps);
+    if (inv_out != nullptr) inv_out[r] = inv;
+    const float* px = x + r * dim;
+    float* py = y + r * dim;
+    for (std::int64_t c = 0; c < dim; ++c) {
+      py[c] = px[c] * inv * (g != nullptr ? g[c] : 1.0f);
+    }
+  };
+  std::int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const float* p0 = x + r * dim;
+    const float* p1 = p0 + dim;
+    const float* p2 = p1 + dim;
+    const float* p3 = p2 + dim;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::int64_t c = 0; c < dim; ++c) {
+      s0 += static_cast<double>(p0[c]) * p0[c];
+      s1 += static_cast<double>(p1[c]) * p1[c];
+      s2 += static_cast<double>(p2[c]) * p2[c];
+      s3 += static_cast<double>(p3[c]) * p3[c];
+    }
+    finish(r, s0);
+    finish(r + 1, s1);
+    finish(r + 2, s2);
+    finish(r + 3, s3);
+  }
+  for (; r < rows; ++r) {
+    const float* px = x + r * dim;
+    double ss = 0.0;
+    for (std::int64_t c = 0; c < dim; ++c) ss += static_cast<double>(px[c]) * px[c];
+    finish(r, ss);
+  }
+}
+
 }  // namespace
 
 RMSNorm::RMSNorm(std::string name, std::int64_t dim, bool elementwise_affine,
@@ -25,18 +67,9 @@ RMSNorm::RMSNorm(std::string name, std::int64_t dim, bool elementwise_affine,
 
 Tensor RMSNorm::apply(const Tensor& x) const {
   if (x.dim(-1) != dim_) throw std::invalid_argument("RMSNorm: bad last dim");
-  const std::int64_t rows = x.numel() / dim_;
   Tensor y(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* px = x.data() + r * dim_;
-    float* py = y.data() + r * dim_;
-    double ss = 0.0;
-    for (std::int64_t c = 0; c < dim_; ++c) ss += static_cast<double>(px[c]) * px[c];
-    const float inv = 1.0f / std::sqrt(static_cast<float>(ss / dim_) + eps_);
-    for (std::int64_t c = 0; c < dim_; ++c) {
-      py[c] = px[c] * inv * (affine_ ? g_.value[c] : 1.0f);
-    }
-  }
+  rms_rows(x.data(), x.numel() / dim_, dim_, eps_,
+           affine_ ? g_.value.data() : nullptr, y.data(), nullptr);
   return y;
 }
 
@@ -48,17 +81,8 @@ Tensor RMSNorm::forward(const Tensor& x, FwdCtx& ctx) const {
   cache.x = x;
   cache.inv_rms = Tensor({rows});
   Tensor y(x.shape());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* px = x.data() + r * dim_;
-    float* py = y.data() + r * dim_;
-    double ss = 0.0;
-    for (std::int64_t c = 0; c < dim_; ++c) ss += static_cast<double>(px[c]) * px[c];
-    const float inv = 1.0f / std::sqrt(static_cast<float>(ss / dim_) + eps_);
-    cache.inv_rms[r] = inv;
-    for (std::int64_t c = 0; c < dim_; ++c) {
-      py[c] = px[c] * inv * (affine_ ? g_.value[c] : 1.0f);
-    }
-  }
+  rms_rows(x.data(), rows, dim_, eps_, affine_ ? g_.value.data() : nullptr,
+           y.data(), cache.inv_rms.data());
   return y;
 }
 

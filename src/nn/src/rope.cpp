@@ -27,10 +27,43 @@ void AxialRope::apply(Tensor& x, std::int64_t num_heads, const Tensor& coords,
   if (coords.ndim() != 2 || coords.dim(0) != t || coords.dim(1) != 2) {
     throw std::invalid_argument("AxialRope: coords must be [T,2]");
   }
+  const std::vector<float> cs = table(coords, inverse);
+  for (std::int64_t bb = 0; bb < b; ++bb) {
+    for (std::int64_t tok = 0; tok < t; ++tok) {
+      float* base_ptr = x.data() + (bb * t + tok) * c;
+      const float* p = cs.data() + tok * head_dim_;
+      for (std::int64_t h = 0; h < num_heads; ++h) {
+        rotate(base_ptr + h * head_dim_, base_ptr + h * head_dim_, p);
+      }
+    }
+  }
+}
+
+// Never inlined: apply() and the attention kernel must run one compiled
+// body, or the bits could differ between them.
+[[gnu::noinline]] void AxialRope::rotate(const float* src, float* dst,
+                                         const float* cs) const {
+  const std::int64_t nf = head_dim_ / 4;
+  // First half: row rotations; second half: column rotations.
+  for (std::int64_t half = 0; half < 2; ++half) {
+    const float* a = src + half * 2 * nf;
+    float* r = dst + half * 2 * nf;
+    for (std::int64_t i = 0; i < nf; ++i) {
+      const float c = cs[i * 4 + half * 2], s = cs[i * 4 + half * 2 + 1];
+      const float a0 = a[2 * i], a1 = a[2 * i + 1];
+      r[2 * i] = a0 * c - a1 * s;
+      r[2 * i + 1] = a0 * s + a1 * c;
+    }
+  }
+}
+
+std::vector<float> AxialRope::table(const Tensor& coords, bool inverse) const {
+  if (coords.ndim() != 2 || coords.dim(1) != 2) {
+    throw std::invalid_argument("AxialRope: coords must be [T,2]");
+  }
+  const std::int64_t t = coords.dim(0);
   const std::int64_t nf = head_dim_ / 4;
   const float sign = inverse ? -1.0f : 1.0f;
-
-  // Precompute per-token sin/cos for both axes.
   std::vector<float> cs(static_cast<std::size_t>(t * nf * 4));
   for (std::int64_t tok = 0; tok < t; ++tok) {
     const float row = coords.at2(tok, 0);
@@ -45,36 +78,7 @@ void AxialRope::apply(Tensor& x, std::int64_t num_heads, const Tensor& coords,
       p[i * 4 + 3] = std::sin(ac);
     }
   }
-
-  for (std::int64_t bb = 0; bb < b; ++bb) {
-    for (std::int64_t tok = 0; tok < t; ++tok) {
-      float* base_ptr = x.data() + (bb * t + tok) * c;
-      const float* p = cs.data() + tok * nf * 4;
-      for (std::int64_t h = 0; h < num_heads; ++h) {
-        float* hp = base_ptr + h * head_dim_;
-        // First half: row rotations; second half: column rotations.
-        for (std::int64_t i = 0; i < nf; ++i) {
-          const float cr = p[i * 4 + 0], sr = p[i * 4 + 1];
-          float& a0 = hp[2 * i];
-          float& a1 = hp[2 * i + 1];
-          const float r0 = a0 * cr - a1 * sr;
-          const float r1 = a0 * sr + a1 * cr;
-          a0 = r0;
-          a1 = r1;
-        }
-        float* hp2 = hp + head_dim_ / 2;
-        for (std::int64_t i = 0; i < nf; ++i) {
-          const float cc = p[i * 4 + 2], sc = p[i * 4 + 3];
-          float& a0 = hp2[2 * i];
-          float& a1 = hp2[2 * i + 1];
-          const float r0 = a0 * cc - a1 * sc;
-          const float r1 = a0 * sc + a1 * cc;
-          a0 = r0;
-          a1 = r1;
-        }
-      }
-    }
-  }
+  return cs;
 }
 
 Tensor window_coords(std::int64_t row0, std::int64_t col0, std::int64_t win_h,

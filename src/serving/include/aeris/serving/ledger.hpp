@@ -248,10 +248,12 @@ class RequestLedger {
                        std::exception_ptr err);
   /// A checked-out item whose step did not land: consumes one fault retry
   /// (requeueing its cursor behind a capped backoff gate) or dooms the
-  /// request when retries are exhausted; no-op for a doomed request.
+  /// request when retries are exhausted; no-op for a doomed request. A
+  /// fault that is not `retryable` (it would repeat on every attempt)
+  /// dooms the request at once with `cause`'s message and counts no retry.
   /// Caller holds mu_ and has released the item's inflight count.
   void fault_locked(const PackItem& item, const std::exception_ptr& cause,
-                    Clock::time_point now);
+                    Clock::time_point now, bool retryable = true);
   /// Terminal sweep over the requests a drained pack touched. Caller
   /// holds mu_.
   void sweep_terminal_locked(std::span<const PackItem> items);

@@ -427,6 +427,7 @@ Pack RequestLedger::checkout(std::int64_t max_items) {
       fetched;
   std::vector<PackItem> failed;
   std::vector<std::exception_ptr> errors;
+  std::vector<char> retryable;  // a wrong shape would only repeat
   for (PackItem& item : items) {
     const auto key = std::make_pair(item.a.get(), item.step);
     const Tensor* fo = nullptr;
@@ -440,6 +441,7 @@ Pack RequestLedger::checkout(std::int64_t max_items) {
       } catch (...) {
         failed.push_back(std::move(item));
         errors.push_back(std::current_exception());
+        retryable.push_back(1);
         continue;
       }
     }
@@ -449,6 +451,7 @@ Pack RequestLedger::checkout(std::int64_t max_items) {
           shape_to_string(fo->shape()) + "; model '" + item.a->model_name +
           "' expects [H, W, F] = " + shape_to_string(want))));
       failed.push_back(std::move(item));
+      retryable.push_back(0);
       continue;
     }
     pack.slots.push_back(core::MemberSlot{item.prev, fo, item.noise});
@@ -461,7 +464,9 @@ Pack RequestLedger::checkout(std::int64_t max_items) {
       const Clock::time_point now = Clock::now();
       for (std::size_t i = 0; i < failed.size(); ++i) {
         --failed[i].a->inflight;
-        if (!failed[i].a->finalized) fault_locked(failed[i], errors[i], now);
+        if (!failed[i].a->finalized) {
+          fault_locked(failed[i], errors[i], now, retryable[i] != 0);
+        }
       }
       sweep_terminal_locked(failed);
     }
@@ -529,13 +534,15 @@ void RequestLedger::finalize_locked(
 
 void RequestLedger::fault_locked(const PackItem& item,
                                  const std::exception_ptr& cause,
-                                 Clock::time_point now) {
+                                 Clock::time_point now, bool retryable) {
   if (item.a->doomed) return;  // member dropped; finalized in the sweep
   Cursor c{item.a, item.member, item.fault_attempts, {}};
-  ++c.fault_attempts;
-  ++c.a->transient_retries;
-  ++stats_.transient_retries;
-  if (c.fault_attempts > opts_.max_step_retries) {
+  if (retryable) {
+    ++c.fault_attempts;
+    ++c.a->transient_retries;
+    ++stats_.transient_retries;
+  }
+  if (!retryable || c.fault_attempts > opts_.max_step_retries) {
     c.a->doomed = true;
     c.a->doom_status = RequestStatus::kFault;
     std::string why = "unknown error";
@@ -547,9 +554,10 @@ void RequestLedger::fault_locked(const PackItem& item,
       } catch (...) {
       }
     }
-    c.a->doom_msg = "transient fault persisted after " +
-                    std::to_string(opts_.max_step_retries) +
-                    " retries: " + why;
+    c.a->doom_msg = retryable ? "transient fault persisted after " +
+                                    std::to_string(opts_.max_step_retries) +
+                                    " retries: " + why
+                              : why;
     c.a->doom_err = cause != nullptr
                         ? cause
                         : std::make_exception_ptr(

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "aeris/tensor/arena.hpp"
 #include "aeris/tensor/ops.hpp"
@@ -266,6 +269,147 @@ TEST(WindowAttention, NonSquareWindow) {
   rng.fill_normal(x, 1, 0);
   FwdCtx ctx;
   EXPECT_EQ(attn.forward(x, ctx).shape(), (Shape{1, 6, 8}));
+}
+
+// WindowAttention's forward in double precision, from the layer's own
+// parameters: qkv projection, axial RoPE at window-local coordinates,
+// softmax(q k^T / sqrt(dh)) v with std::exp, output projection.
+std::vector<double> reference_forward(const WindowAttention& attn,
+                                      std::int64_t win_w, const Tensor& x) {
+  ConstParamList ps;
+  attn.collect_params(ps);  // qkv.w [3C, C], qkv.b, proj.w [C, C], proj.b
+  const std::int64_t b = x.dim(0), t = x.dim(1), c = x.dim(2);
+  const std::int64_t heads = attn.num_heads(), dh = attn.head_dim();
+  const std::int64_t nf = dh / 4;
+  const auto linear = [](const std::vector<double>& in, std::int64_t rows,
+                         std::int64_t n_in, const Param& w, const Param& bias,
+                         std::int64_t n_out) {
+    std::vector<double> out(static_cast<std::size_t>(rows * n_out));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t o = 0; o < n_out; ++o) {
+        double acc = bias.value[o];
+        for (std::int64_t i = 0; i < n_in; ++i) {
+          acc += in[static_cast<std::size_t>(r * n_in + i)] *
+                 w.value[o * n_in + i];
+        }
+        out[static_cast<std::size_t>(r * n_out + o)] = acc;
+      }
+    }
+    return out;
+  };
+  std::vector<double> xin(x.data(), x.data() + x.numel());
+  std::vector<double> qkv = linear(xin, b * t, c, *ps[0], *ps[1], 3 * c);
+  const auto at = [&](std::int64_t w, std::int64_t tok, std::int64_t col) {
+    return &qkv[static_cast<std::size_t>((w * t + tok) * 3 * c + col)];
+  };
+  for (std::int64_t w = 0; w < b; ++w) {
+    for (std::int64_t tok = 0; tok < t; ++tok) {
+      const double pos[2] = {static_cast<double>(tok / win_w),
+                             static_cast<double>(tok % win_w)};
+      for (std::int64_t part = 0; part < 2; ++part) {  // q, then k
+        for (std::int64_t h = 0; h < heads; ++h) {
+          double* v = at(w, tok, part * c + h * dh);
+          for (std::int64_t half = 0; half < 2; ++half) {
+            for (std::int64_t i = 0; i < nf; ++i) {
+              const double ang =
+                  pos[half] * std::pow(10000.0, -2.0 * i / (dh / 2));
+              double* a = v + half * 2 * nf + 2 * i;
+              const double a0 = a[0], a1 = a[1];
+              a[0] = a0 * std::cos(ang) - a1 * std::sin(ang);
+              a[1] = a0 * std::sin(ang) + a1 * std::cos(ang);
+            }
+          }
+        }
+      }
+    }
+  }
+  std::vector<double> attn_out(static_cast<std::size_t>(b * t * c));
+  std::vector<double> p(static_cast<std::size_t>(t));
+  const double scale = 1.0 / std::sqrt(static_cast<double>(dh));
+  for (std::int64_t w = 0; w < b; ++w) {
+    for (std::int64_t h = 0; h < heads; ++h) {
+      for (std::int64_t i = 0; i < t; ++i) {
+        double mx = -std::numeric_limits<double>::infinity();
+        for (std::int64_t j = 0; j < t; ++j) {
+          double s = 0.0;
+          for (std::int64_t d = 0; d < dh; ++d) {
+            s += at(w, i, h * dh + d)[0] * at(w, j, c + h * dh + d)[0];
+          }
+          p[static_cast<std::size_t>(j)] = s * scale;
+          mx = std::max(mx, s * scale);
+        }
+        double sum = 0.0;
+        for (double& e : p) sum += (e = std::exp(e - mx));
+        for (std::int64_t d = 0; d < dh; ++d) {
+          double acc = 0.0;
+          for (std::int64_t j = 0; j < t; ++j) {
+            acc += p[static_cast<std::size_t>(j)] *
+                   at(w, j, 2 * c + h * dh + d)[0];
+          }
+          attn_out[static_cast<std::size_t>((w * t + i) * c + h * dh + d)] =
+              acc / sum;
+        }
+      }
+    }
+  }
+  return linear(attn_out, b * t, c, *ps[2], *ps[3], c);
+}
+
+// The inference kernel (q/k/v read in place from the qkv rows, RoPE from
+// the layer's table, four-row softmax) against a double-precision
+// reference: dh = 8 and 32, a square 8x8 window, windows whose token count
+// leaves a one-row softmax tail (5x6 = 30, 3x3 = 9), and a window of more
+// than 256 tokens (the streaming online-softmax path).
+TEST(WindowAttention, InferenceMatchesDoubleReference) {
+  struct Case {
+    std::int64_t dim, heads, wh, ww;
+  };
+  const Case cases[] = {{16, 2, 8, 8},  {64, 2, 8, 8}, {16, 2, 5, 6},
+                        {64, 2, 5, 6},  {32, 4, 3, 3}, {16, 2, 16, 17}};
+  for (const Case& k : cases) {
+    WindowAttention attn = make_attn(k.dim, k.heads, k.wh, k.ww, 31);
+    Philox rng(32);
+    Tensor x({3, k.wh * k.ww, k.dim});
+    rng.fill_normal(x, 1, 0);
+    FwdCtx ctx(FwdCtx::Mode::kInference);
+    const Tensor y = attn.forward(x, ctx);
+    const std::vector<double> ref = reference_forward(attn, k.ww, x);
+    double ref_max = 0.0;
+    for (double r : ref) ref_max = std::max(ref_max, std::fabs(r));
+    double err = 0.0;
+    for (std::int64_t i = 0; i < y.numel(); ++i) {
+      err = std::max(err, std::fabs(y[i] - ref[static_cast<std::size_t>(i)]));
+    }
+    EXPECT_LE(err, 1e-5 * ref_max)
+        << "dim " << k.dim << " heads " << k.heads << " window " << k.wh
+        << "x" << k.ww << ": max error " << err << " of max " << ref_max;
+  }
+}
+
+// A NaN in one token reaches every output row of its window through that
+// token's value row, so the serving quarantine sees the whole window
+// non-finite; the other windows keep their bits.
+TEST(WindowAttention, NaNTokenPoisonsOnlyItsWindow) {
+  for (const std::int64_t ww : {8, 6, 34}) {  // t = 64, 30, 272
+    WindowAttention attn = make_attn(16, 2, 8, ww, 33);
+    const std::int64_t t = 8 * ww;
+    Philox rng(34);
+    Tensor x({3, t, 16});
+    rng.fill_normal(x, 1, 0);
+    FwdCtx ctx(FwdCtx::Mode::kInference);
+    const Tensor clean = attn.forward(x, ctx);
+    x.at3(1, 5, 3) = std::numeric_limits<float>::quiet_NaN();
+    const Tensor y = attn.forward(x, ctx);
+    const std::int64_t per_window = t * 16;
+    for (std::int64_t i = 0; i < y.numel(); ++i) {
+      if (i / per_window == 1) {
+        ASSERT_FALSE(std::isfinite(y[i])) << "t=" << t << " at " << i;
+      } else {
+        ASSERT_EQ(std::memcmp(y.data() + i, clean.data() + i, sizeof(float)), 0)
+            << "t=" << t << " at " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

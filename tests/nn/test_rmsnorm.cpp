@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "aeris/tensor/ops.hpp"
 #include "gradcheck.hpp"
@@ -106,6 +107,46 @@ TEST(RMSNorm, NonAffineGradCheck) {
   Tensor dx = norm.backward(dy, ctx);
   auto loss_of_x = [&](const Tensor& xx) { return dot(norm.apply(xx), dy); };
   testing::expect_input_grad_close(x, dx, loss_of_x, 1e-3f, 2e-2f);
+}
+
+// apply() and forward() work through rows four at a time; every row must
+// keep the bits of the one-row loop (double sum in column order), for
+// every row count around the four-row step and with or without a gain.
+TEST(RMSNorm, RowBlocksMatchOneRowReferenceBitwise) {
+  for (const std::int64_t dim : {8, 128, 130}) {
+    for (const bool affine : {true, false}) {
+      RMSNorm norm("n", dim, affine);
+      Philox rng(7);
+      if (affine) rng.fill_normal(norm.gain().value, 1, 9);
+      for (std::int64_t rows = 1; rows <= 9; ++rows) {
+        Tensor x({rows, dim});
+        rng.fill_normal(x, 3, static_cast<std::uint64_t>(rows));
+        Tensor want(x.shape());
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const float* px = x.data() + r * dim;
+          double ss = 0.0;
+          for (std::int64_t c = 0; c < dim; ++c) {
+            ss += static_cast<double>(px[c]) * px[c];
+          }
+          const float inv =
+              1.0f / std::sqrt(static_cast<float>(ss / dim) + 1e-6f);
+          for (std::int64_t c = 0; c < dim; ++c) {
+            want.data()[r * dim + c] =
+                px[c] * inv * (affine ? norm.gain().value[c] : 1.0f);
+          }
+        }
+        FwdCtx ctx;
+        const Tensor got_apply = norm.apply(x);
+        const Tensor got_forward = norm.forward(x, ctx);
+        const std::size_t bytes =
+            sizeof(float) * static_cast<std::size_t>(x.numel());
+        EXPECT_EQ(std::memcmp(got_apply.data(), want.data(), bytes), 0)
+            << "dim " << dim << " rows " << rows << " affine " << affine;
+        EXPECT_EQ(std::memcmp(got_forward.data(), want.data(), bytes), 0)
+            << "dim " << dim << " rows " << rows << " affine " << affine;
+      }
+    }
+  }
 }
 
 TEST(RMSNorm, ZeroInputIsFinite) {

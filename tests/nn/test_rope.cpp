@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "aeris/tensor/ops.hpp"
 #include "aeris/tensor/rng.hpp"
@@ -111,6 +113,41 @@ TEST(Rope, ValidatesShapes) {
   EXPECT_THROW(rope.apply(x, 1, bad_coords), std::invalid_argument);
   EXPECT_THROW(rope.apply(x, 2, window_coords(0, 0, 2, 2, 4, 4)),
                std::invalid_argument);
+}
+
+// The table + rotate path the inference attention kernel uses gives the
+// bits of apply(), forward and inverse, out of place and in place.
+TEST(Rope, TableRotateMatchesApplyBitwise) {
+  for (const std::int64_t dh : {8, 32}) {
+    AxialRope rope(dh);
+    Philox rng(5);
+    const std::int64_t heads = 3, t = 30;
+    Tensor x({2, t, heads * dh});
+    rng.fill_normal(x, 1, 0);
+    const Tensor coords = window_coords(7, 30, 5, 6, 32, 32);
+    for (const bool inverse : {false, true}) {
+      Tensor want = x;
+      rope.apply(want, heads, coords, inverse);
+      const std::vector<float> cs = rope.table(coords, inverse);
+      ASSERT_EQ(cs.size(), static_cast<std::size_t>(t * dh));
+      Tensor out(x.shape());
+      Tensor in_place = x;
+      for (std::int64_t row = 0; row < 2 * t; ++row) {
+        const float* tab = cs.data() + (row % t) * dh;
+        for (std::int64_t h = 0; h < heads; ++h) {
+          const std::int64_t off = row * heads * dh + h * dh;
+          rope.rotate(x.data() + off, out.data() + off, tab);
+          rope.rotate(in_place.data() + off, in_place.data() + off, tab);
+        }
+      }
+      const std::size_t bytes =
+          sizeof(float) * static_cast<std::size_t>(x.numel());
+      EXPECT_EQ(std::memcmp(out.data(), want.data(), bytes), 0)
+          << "dh " << dh << " inverse " << inverse;
+      EXPECT_EQ(std::memcmp(in_place.data(), want.data(), bytes), 0)
+          << "dh " << dh << " inverse " << inverse;
+    }
+  }
 }
 
 TEST(WindowCoords, RowMajorAndWrapping) {

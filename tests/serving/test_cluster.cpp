@@ -425,13 +425,16 @@ TEST(ClusterForecastServer, StopIsCleanAndIdempotent) {
 // so a gate request blocking in its first fetch holds dispatch while a
 // bad-F request and a healthy one queue behind it, in that order: the next
 // pack carries the bad item first.
-TEST(ClusterForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
+// The cluster twin of the server's wrong-shape test: the bad request
+// faults on its first fetch, whatever the retry budget, and the healthy
+// request packed with it stays bitwise-equal to the serial forecaster.
+void expect_wrong_shape_faults_alone(std::int64_t max_step_retries) {
   AerisModel model = make_model(53);
   ParallelEnsembleEngine engine = make_engine(model);
   ClusterOptions co;
   co.ranks = 2;
   co.serve.batch = 4;
-  co.serve.max_step_retries = 0;  // no backoff timing involved
+  co.serve.max_step_retries = max_step_retries;
   ClusterForecastServer cluster(engine, co);
 
   std::atomic<bool> entered{false};
@@ -458,9 +461,13 @@ TEST(ClusterForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
   while (!entered.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  std::atomic<int> wrong_calls{0};
   std::thread bad([&] {
     ForecastRequest req = make_request(2, 1, 1);
-    req.forcings_at = [](std::int64_t) { return Tensor({8, 8, 3}); };
+    req.forcings_at = [&](std::int64_t) {
+      ++wrong_calls;
+      return Tensor({8, 8, 3});
+    };
     bad_r = cluster.forecast(req);
   });
   wait_accepted(2);
@@ -485,7 +492,20 @@ TEST(ClusterForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
       << bad_r.error_message;
   EXPECT_NE(bad_r.error_message.find("[8, 8, 2]"), std::string::npos)
       << bad_r.error_message;
+  EXPECT_EQ(bad_r.error_message.find("transient"), std::string::npos)
+      << bad_r.error_message;
+  EXPECT_EQ(wrong_calls.load(), 1);
+  EXPECT_EQ(cluster.stats().transient_retries, 0);
   EXPECT_EQ(cluster.stats().faulted, 1);
+}
+
+TEST(ClusterForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
+  expect_wrong_shape_faults_alone(0);  // no backoff timing involved
+}
+
+TEST(ClusterForecastServer,
+     WrongShapedForcingsFaultOnlyTheirOwnRequestWithRetries) {
+  expect_wrong_shape_faults_alone(3);
 }
 
 TEST(ClusterOptions, FromEnvReadsKnobs) {

@@ -734,7 +734,13 @@ TEST(ForecastServer, MalformedRequestsThrow) {
 // ride into a healthy batch-mate's stacked solve. A gate request holds the
 // single worker inside its first forcing fetch while a bad-F request and a
 // healthy one queue behind it, so the next checkout sees both at once.
-TEST(ForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
+// A gate request blocks in its first forcing fetch while a request whose
+// forcings have the wrong shape and a healthy 2-member request queue up
+// behind it; all three then share packs. The healthy request must come
+// out bitwise-equal to the serial forecaster, and the bad one must fault
+// on its first fetch, whatever the retry budget: a wrong shape is not a
+// transient fault.
+void expect_wrong_shape_faults_alone(std::int64_t max_step_retries) {
   AerisModel model = make_model(53);
   core::TrigFlowConfig tf;
   core::TrigSamplerConfig sc;
@@ -743,9 +749,7 @@ TEST(ForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
   ServerOptions opts;
   opts.workers = 1;
   opts.batch = 4;
-  // No retries: a failed shared solve would fault the healthy request on
-  // its first attempt, with no backoff timing involved.
-  opts.max_step_retries = 0;
+  opts.max_step_retries = max_step_retries;
   ForecastServer server(engine, opts);
 
   std::atomic<bool> entered{false};
@@ -757,7 +761,11 @@ TEST(ForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
     }
     return make_forcing(s);
   };
-  const ForcingFn wrong_f = [](std::int64_t) { return Tensor({8, 8, 3}); };
+  std::atomic<int> wrong_calls{0};
+  const ForcingFn wrong_f = [&](std::int64_t) {
+    ++wrong_calls;
+    return Tensor({8, 8, 3});
+  };
   const auto wait_accepted = [&](std::int64_t n) {
     while (server.stats().accepted < n) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -811,7 +819,21 @@ TEST(ForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
       << bad_r.error_message;
   EXPECT_NE(bad_r.error_message.find("[8, 8, 2]"), std::string::npos)
       << bad_r.error_message;
+  EXPECT_EQ(bad_r.error_message.find("transient"), std::string::npos)
+      << bad_r.error_message;
+  EXPECT_EQ(wrong_calls.load(), 1);
+  EXPECT_EQ(server.stats().transient_retries, 0);
   EXPECT_EQ(server.stats().faulted, 1);
+}
+
+TEST(ForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequest) {
+  // No retries: a failed shared solve would fault the healthy request on
+  // its first attempt, with no backoff timing involved.
+  expect_wrong_shape_faults_alone(0);
+}
+
+TEST(ForecastServer, WrongShapedForcingsFaultOnlyTheirOwnRequestWithRetries) {
+  expect_wrong_shape_faults_alone(3);
 }
 
 TEST(ForecastServer, FromEnvReadsKnobs) {
