@@ -72,8 +72,7 @@ Measured run_engine(int wp_a, int wp_b, int sp) {
   const int input_rank = rank_of(ec.grid, {0, 0, 0, 0});
   out.p2p_block_rank = world.rank_bytes(block_rank, Traffic::kP2P);
   out.a2a_block_rank = world.rank_bytes(block_rank, Traffic::kAllToAll);
-  out.allreduce_total =
-      world.bytes(Traffic::kAllReduce) + world.bytes(Traffic::kBroadcast);
+  out.allreduce_total = world.bytes(Traffic::kAllReduce);
   out.activation_floats =
       stats[static_cast<std::size_t>(block_rank)].activation_floats;
   out.io_input_rank = stats[static_cast<std::size_t>(input_rank)].io_values;

@@ -10,7 +10,9 @@
 #
 # ASan leg (AERIS_SANITIZE=address): the serving suite again — the server
 # juggles cross-request tensor lifetimes (packs point into other requests'
-# trajectories), which is exactly where use-after-free would hide.
+# trajectories), which is exactly where use-after-free would hide — and the
+# swipe suite, whose receive paths pop, claim and move shared payloads and
+# carry the receive-side fault hooks.
 #
 # Both legs additionally run the consistency suite: mixed teacher/student
 # clients share one engine across server workers, and the distiller's
@@ -35,6 +37,12 @@
 # membership roster hand-off between the front-end and the manager is the
 # newest place a race or a stale-pointer bug would hide.
 #
+# Both legs also run the nn suite: the window-attention kernel reads qkv
+# rows at a stride, RoPE rotates from a shared table, and RMSNorm works
+# four rows at a time — out-of-bounds reads and compile-mode-dependent bits
+# (an inlined copy giving other bits than the reference under ASan) show
+# up there first.
+#
 # Both legs also run the tensor suite and the recycle suite. The tensor
 # suite holds the GEMM tile coverage (pack-free A reads of strided
 # sub-blocks, the packed m % 8 tail), the fast transcendental kernels and
@@ -55,12 +63,15 @@ build=${1:-"$repo/build-tsan"}
 asan_build=${2:-"$repo/build-asan"}
 
 cmake -B "$build" -S "$repo" -DAERIS_SANITIZE=thread
-cmake --build "$build" -j --target test_tensor test_recycle test_swipe test_core test_serving test_consistency test_multimodel test_cluster test_elastic
+cmake --build "$build" -j --target test_tensor test_nn test_recycle test_swipe test_core test_serving test_consistency test_multimodel test_cluster test_elastic
 # TSan aborts the process on the first race (halt_on_error), so a clean
 # exit means a clean suite. The timeout backstops comm deadlocks.
 TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
   timeout 600 "$build/tests/test_tensor"
 echo "TSan tensor suite (GEMM tiles, fast math, concurrent pool dispatch) clean"
+TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
+  timeout 600 "$build/tests/test_nn"
+echo "TSan nn suite clean"
 TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
   timeout 600 "$build/tests/test_recycle"
 echo "TSan recycle suite clean"
@@ -88,13 +99,19 @@ TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
 echo "TSan elastic suite (incl. park/un-park chaos soak) clean"
 
 cmake -B "$asan_build" -S "$repo" -DAERIS_SANITIZE=address
-cmake --build "$asan_build" -j --target test_tensor test_recycle test_serving test_consistency test_multimodel test_cluster test_elastic
+cmake --build "$asan_build" -j --target test_tensor test_nn test_recycle test_swipe test_serving test_consistency test_multimodel test_cluster test_elastic
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_tensor"
 echo "ASan tensor suite (GEMM tiles, fast math, concurrent pool dispatch) clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
+  timeout 600 "$asan_build/tests/test_nn"
+echo "ASan nn suite (strided attention, RoPE table, RMSNorm row blocks) clean"
+ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_recycle"
 echo "ASan recycle suite clean"
+ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
+  timeout 600 "$asan_build/tests/test_swipe"
+echo "ASan swipe suite (receive paths, fault hooks) clean"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
   timeout 600 "$asan_build/tests/test_serving"
 echo "ASan serving suite clean"

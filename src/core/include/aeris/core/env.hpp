@@ -7,13 +7,15 @@
 #include <string>
 #include <type_traits>
 
-namespace aeris::serving::detail {
+namespace aeris::core {
 
-/// The AERIS_SERVE_* knob `name` parsed as a T, or `fallback` when the
-/// variable is unset or empty. Shared by ServerOptions::from_env and
-/// ClusterOptions::from_env. A value that does not parse in full ("10abc",
-/// "abc") or does not fit in T throws std::invalid_argument naming the
-/// variable and the value, so a typo never silently becomes a default.
+/// The environment variable `name` parsed as a T, or `fallback` when the
+/// variable is unset or empty. The one parser behind every numeric AERIS_*
+/// knob: ServerOptions::from_env, ClusterOptions::from_env and the comm
+/// deadline (AERIS_COMM_TIMEOUT_MS). A value that does not parse in full
+/// ("10abc", "abc") or does not fit in T throws std::invalid_argument
+/// naming the variable and the value, so a typo never silently becomes a
+/// default.
 template <typename T>
 T env_number(const char* name, T fallback) {
   const char* v = std::getenv(name);
@@ -37,4 +39,4 @@ T env_number(const char* name, T fallback) {
   return parsed;
 }
 
-}  // namespace aeris::serving::detail
+}  // namespace aeris::core

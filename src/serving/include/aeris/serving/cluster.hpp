@@ -23,14 +23,16 @@ namespace aeris::serving {
 /// ClusterForecastServer tuning, on top of the shared ServerOptions policy
 /// stack. from_env() overlays the AERIS_SERVE_RANKS /
 /// AERIS_SERVE_HEARTBEAT_MS / AERIS_SERVE_LEASE_MS / AERIS_SERVE_QUORUM
-/// knobs documented in the README.
+/// knobs documented in the README. The server's constructor checks the
+/// invariants stated below and throws std::invalid_argument naming the
+/// field and its value; nothing is silently clamped.
 struct ClusterOptions {
   /// World size per incarnation: rank 0 is the serving front-end, ranks
-  /// 1..ranks-1 are worker ranks. Clamped to >= 2 (one worker).
+  /// 1..ranks-1 are worker ranks. Must be >= 2 (one worker).
   int ranks = 3;
   /// Minimum alive worker ranks to keep serving. When deaths shrink the
   /// cluster below this, in-flight requests are drained with kWorkerLost
-  /// and admissions are refused from then on. Clamped to >= 1.
+  /// and admissions are refused from then on. Must be >= 1.
   int min_quorum = 1;
   /// Workers send a liveness heartbeat this often; <= 0 disables
   /// heartbeats entirely. Deterministic FaultPlan drills need them off:
@@ -46,34 +48,20 @@ struct ClusterOptions {
   /// rank that never throws — wedged, not crashed — triggers the requeue
   /// path. <= 0 disables lease expiry.
   double lease_timeout_ms = 0.0;
-  /// Max packs leased to one worker at a time (pipeline depth).
+  /// Max packs leased to one worker at a time (pipeline depth); >= 1.
   std::int64_t max_outstanding_packs = 2;
   /// The shared serving policy stack (admission, deadlines, degradation,
   /// retries, quarantine).
   ServerOptions serve{};
   /// Deterministic fault drill: armed on the *first* incarnation's world
-  /// only, so the recovery incarnations run clean.
+  /// only, so the recovery incarnations run clean. Send-side events count
+  /// a rank's sends (results, heartbeats, join announces); receive-side
+  /// events (FaultEvent::on_recv) count the packs and join messages it
+  /// takes. A receive-side kDelayMsg on a worker hangs it while it holds
+  /// the pack's lease; a latched receive-side kKillRank kills it on its
+  /// first pack, or on its next poll once another death poisoned the
+  /// world, as an originating failure either way.
   std::shared_ptr<const swipe::FaultPlan> fault_plan;
-  /// Stall drill (lease-expiry testing): world rank `stall_rank` sleeps
-  /// `stall_ms` while holding a lease, after finishing
-  /// `stall_after_packs` packs — a hang, not a crash. First incarnation
-  /// only; stall_rank < 0 disables.
-  int stall_rank = -1;
-  std::int64_t stall_after_packs = 0;
-  double stall_ms = 0.0;
-  /// Escaped-exception drill: these world ranks throw a std::runtime_error
-  /// right after receiving their first pack (first incarnation only).
-  /// Unlike a plain FaultPlan kill — which fires on a *send* ordinal that
-  /// may never be reached once another rank's death has poisoned the
-  /// world — an escaped exception is recorded as an originating failure
-  /// regardless of ordering. (Latched FaultPlan kills, FaultEvent::latch,
-  /// now close that gap on the send path too; this drill remains for
-  /// exercising the escaped-exception classification itself.) Listed
-  /// ranks rendezvous — each blocks after receiving its first pack until
-  /// every listed rank has one (bounded wait), then all throw — so callers
-  /// must make at least die_on_first_pack.size() concurrent packs
-  /// available.
-  std::vector<int> die_on_first_pack;
 
   /// Elastic membership. When true, dead capacity is not forever: callers
   /// offer replacement workers via offer_worker(), a below-quorum park
@@ -88,8 +76,8 @@ struct ClusterOptions {
   double probation_ms = 0.0;
   /// Upper bound on the world size (front-end + workers) the cluster may
   /// grow to by admitting fresh ranks; <= 0 means `ranks` (rejoin can
-  /// then only replace dead capacity, not grow past the initial size).
-  /// AERIS_SERVE_MAX_RANKS.
+  /// then only replace dead capacity, not grow past the initial size), and
+  /// a positive value must be >= `ranks`. AERIS_SERVE_MAX_RANKS.
   int max_ranks = 0;
 
   static ClusterOptions from_env();
@@ -144,6 +132,8 @@ class ClusterForecastServer {
   /// header, and every worker rank resolves the engine from the same
   /// (process-shared) registry — its local replica. The registry (frozen,
   /// >= 1 variant) and its engines must outlive the server.
+  /// Throws std::invalid_argument when `opts` breaks a ClusterOptions
+  /// invariant.
   ClusterForecastServer(const ModelRegistry& registry,
                         const ClusterOptions& opts = {});
   /// Single-engine convenience: builds an owned one-variant registry named
@@ -212,7 +202,7 @@ class ClusterForecastServer {
 
   void manager_loop();
   void frontend_loop(swipe::World& world);
-  void worker_rank_loop(swipe::World& world, int rank, bool drill_armed);
+  void worker_rank_loop(swipe::World& world, int rank);
   /// A spare rank slot idles here until the front-end invites it on the
   /// join lane: it announces its registry fingerprint, and on an accept
   /// verdict becomes a worker (worker_rank_loop); a reject re-parks it.
@@ -233,8 +223,6 @@ class ClusterForecastServer {
   /// (-1 none): timeouts produce no originating RankFailure, so the
   /// manager needs the suspect out of band.
   std::atomic<int> suspect_dead_{-1};
-  /// Rendezvous counter for the die_on_first_pack drill.
-  std::atomic<int> die_rendezvous_{0};
   std::uint64_t next_pack_id_ = 1;
   /// Leases keyed by pack id. Touched only by the front-end rank thread
   /// during an incarnation and by the manager between incarnations —
@@ -242,8 +230,8 @@ class ClusterForecastServer {
   std::map<std::uint64_t, Lease> outstanding_;
 
   // --- elastic membership state ---
-  /// Upper bound on simultaneously-admitted worker ranks (max_ranks - 1
-  /// once clamped; == ranks - 1 when growth is not enabled).
+  /// Upper bound on simultaneously-admitted worker ranks (max_ranks - 1,
+  /// with max_ranks <= 0 read as `ranks`).
   int max_workers_ = 0;
   std::atomic<std::uint64_t> incarnation_{0};
   std::atomic<bool> parked_{false};

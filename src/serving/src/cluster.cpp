@@ -7,16 +7,41 @@
 #include <string>
 #include <utility>
 
+#include "aeris/core/env.hpp"
 #include "aeris/serving/wire.hpp"
 #include "aeris/tensor/thread_pool.hpp"
-#include "env.hpp"
 
 namespace aeris::serving {
 namespace {
 
 using Clock = detail::Clock;
-using detail::env_number;
+using core::env_number;
 using detail::ms_between;
+
+/// `o` with its invariants checked and the max_ranks sentinel resolved. A
+/// broken invariant throws std::invalid_argument naming the field and the
+/// value instead of being clamped into something the caller did not ask
+/// for.
+ClusterOptions checked(ClusterOptions o) {
+  const auto require = [](bool ok, const char* field, long long value,
+                          const std::string& rule) {
+    if (!ok) {
+      throw std::invalid_argument("ClusterOptions::" + std::string(field) +
+                                  " = " + std::to_string(value) + ": " + rule);
+    }
+  };
+  require(o.ranks >= 2, "ranks", o.ranks,
+          "must be >= 2 (the front-end and one worker)");
+  require(o.min_quorum >= 1, "min_quorum", o.min_quorum, "must be >= 1");
+  require(o.max_outstanding_packs >= 1, "max_outstanding_packs",
+          o.max_outstanding_packs, "must be >= 1");
+  require(o.max_ranks <= 0 || o.max_ranks >= o.ranks, "max_ranks",
+          o.max_ranks,
+          "must be <= 0 (meaning ranks) or >= ranks = " +
+              std::to_string(o.ranks));
+  if (o.max_ranks <= 0) o.max_ranks = o.ranks;
+  return o;
+}
 
 }  // namespace
 
@@ -52,15 +77,9 @@ ClusterForecastServer::ClusterForecastServer(
     const ClusterOptions& opts)
     : owned_registry_(std::move(owned)),
       registry_(owned_registry_ ? *owned_registry_ : *shared),
-      opts_(opts),
-      ledger_(registry_, opts.serve),
-      alive_workers_(std::max(2, opts.ranks) - 1) {
-  opts_.ranks = std::max(2, opts_.ranks);
-  opts_.min_quorum = std::max(1, opts_.min_quorum);
-  opts_.max_outstanding_packs =
-      std::max<std::int64_t>(1, opts_.max_outstanding_packs);
-  opts_.max_ranks = opts_.max_ranks <= 0 ? opts_.ranks
-                                         : std::max(opts_.max_ranks, opts_.ranks);
+      opts_(checked(opts)),
+      ledger_(registry_, opts_.serve),
+      alive_workers_(opts_.ranks - 1) {
   max_workers_ = opts_.max_ranks - 1;
   manager_ = std::thread([this] { manager_loop(); });
 }
@@ -132,8 +151,7 @@ void ClusterForecastServer::manager_loop() {
     // loop and cost nothing until capacity is offered.
     const int slots = opts_.rejoin ? max_workers_ : workers;
     swipe::World world(1 + slots);
-    const bool drill_armed = first_incarnation;
-    if (drill_armed && opts_.fault_plan != nullptr) {
+    if (first_incarnation && opts_.fault_plan != nullptr) {
       world.set_fault_plan(opts_.fault_plan);
     }
     first_incarnation = false;
@@ -150,7 +168,7 @@ void ClusterForecastServer::manager_loop() {
         if (rank == 0) {
           frontend_loop(world);
         } else if (rank <= workers) {
-          worker_rank_loop(world, rank, drill_armed);
+          worker_rank_loop(world, rank);
         } else {
           parked_rank_loop(world, rank);
         }
@@ -458,22 +476,18 @@ void ClusterForecastServer::frontend_loop(swipe::World& world) {
   }
 }
 
-void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank,
-                                             bool drill_armed) {
+void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank) {
   // Rank threads share one process (and its kernel thread pool): each rank
   // runs its packs' kernels inline, which is bitwise-identical.
   SerialRegionGuard guard;
 
   swipe::PendingMsg work_rx = world.irecv(rank, 0, swipe::kServeWorkTag);
   auto last_beat = Clock::now();
-  std::int64_t packs_done = 0;
-  bool stalled = false;
 
   for (;;) {
     // No explicit poison check here: a queued pack survives poisoning and
     // test() still delivers it (the mailbox contract), so a dying worker
-    // drains deliverable work instead of dropping it — which is also what
-    // makes the concurrent escaped-exception drill deterministic. An idle
+    // drains deliverable work instead of dropping it. An idle
     // worker exits via test() throwing PeerFailedError once its queue is
     // empty and the world is poisoned; a heartbeat or result send into a
     // poisoned world throws the same way.
@@ -486,6 +500,8 @@ void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank,
     bool has_work = false;
     try {
       has_work = work_rx.test();
+    } catch (const swipe::InjectedFault&) {
+      throw;  // a receive-side FaultPlan kill: this rank's own death
     } catch (const swipe::PeerFailedError&) {
       // Poisoned and fully drained. One dying-breath beat gives a latched
       // FaultPlan kill its chance to fire on this rank's "next send" as an
@@ -506,40 +522,6 @@ void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank,
     work_rx = world.irecv(rank, 0, swipe::kServeWorkTag);
     wire::PackMsg pack = wire::decode_pack(payload);
     if (pack.shutdown) return;
-
-    // Escaped-exception drill: rendezvous so every listed rank holds its
-    // first pack before any of them throws — the deaths land in the same
-    // pack window, and each user exception is recorded as an originating
-    // failure no matter which rank's unwinding poisons the world first.
-    if (drill_armed && !opts_.die_on_first_pack.empty() &&
-        std::find(opts_.die_on_first_pack.begin(),
-                  opts_.die_on_first_pack.end(),
-                  rank) != opts_.die_on_first_pack.end()) {
-      die_rendezvous_.fetch_add(1, std::memory_order_acq_rel);
-      const auto t0 = Clock::now();
-      while (die_rendezvous_.load(std::memory_order_acquire) <
-                 static_cast<int>(opts_.die_on_first_pack.size()) &&
-             ms_between(t0, Clock::now()) < 5000.0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(10));
-      }
-      throw std::runtime_error("drill: worker rank " + std::to_string(rank) +
-                               " died mid-pack");
-    }
-
-    // Stall drill: hang (don't crash) while holding this pack's lease, so
-    // the front-end's lease monitor — not an exception — must detect us.
-    if (drill_armed && rank == opts_.stall_rank && opts_.stall_ms > 0.0 &&
-        packs_done >= opts_.stall_after_packs && !stalled) {
-      stalled = true;
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          opts_.stall_ms));
-      if (world.poisoned()) {
-        // The front-end condemned us while we were hung.
-        throw swipe::PeerFailedError(world.failed_rank(),
-                                     "serving world poisoned");
-      }
-      // Timeouts were not armed: fall through and serve the pack late.
-    }
 
     std::vector<core::MemberSlot> slots(pack.prev.size());
     for (std::size_t i = 0; i < pack.prev.size(); ++i) {
@@ -566,7 +548,6 @@ void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank,
     }
     world.send(rank, 0, swipe::kServeResultTag, std::move(reply),
                swipe::Traffic::kServing);
-    ++packs_done;
   }
 }
 
@@ -606,7 +587,7 @@ void ClusterForecastServer::parked_rank_loop(swipe::World& world, int rank) {
       if (v.kind == wire::JoinKind::kShutdown) return;
       if (v.kind != wire::JoinKind::kVerdict) continue;
       if (v.accept) {
-        worker_rank_loop(world, rank, /*drill_armed=*/false);
+        worker_rank_loop(world, rank);
         return;
       }
       deciding = false;  // rejected: back to parking

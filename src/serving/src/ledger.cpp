@@ -6,14 +6,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "aeris/core/env.hpp"
 #include "aeris/tensor/numerics.hpp"
-#include "env.hpp"
 
 namespace aeris::serving {
 namespace {
 
 using Clock = detail::Clock;
-using detail::env_number;
+using core::env_number;
 using detail::ms_between;
 
 /// Jitter draws use this stream id on the ledger's private Philox.

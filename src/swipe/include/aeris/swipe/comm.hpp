@@ -53,10 +53,10 @@ class CommTimeoutError : public std::runtime_error {
 /// Traffic classes tracked by the byte counters. These map onto the
 /// paper's communication-overhead analysis (§V-A): alltoall from SP/WP,
 /// send/recv from PP (and window shifting), and allreduce from gradient
-/// synchronization. Barrier control messages get their own class so they
-/// never pollute the pipeline-P2P volume model. The serving tier (work
-/// packs, results, heartbeats of the cluster forecast server) gets its own
-/// class so inference traffic never skews the training volume model.
+/// synchronization, plus ZeRO-1's allgather-v and reduce-scatter-v. The
+/// serving tier (work packs, results, heartbeats of the cluster forecast
+/// server) gets its own class so inference traffic never skews the
+/// training volume model.
 /// Membership (join invites, fingerprint announces, admission verdicts of
 /// the elastic cluster) is likewise split out: the join lane is control
 /// plane, not serving volume.
@@ -64,14 +64,12 @@ enum class Traffic : int {
   kP2P = 0,
   kAllToAll = 1,
   kAllReduce = 2,
-  kBroadcast = 3,
-  kAllGather = 4,
-  kReduceScatter = 5,
-  kBarrier = 6,
-  kServing = 7,
-  kMembership = 8,
+  kAllGather = 3,
+  kReduceScatter = 4,
+  kServing = 5,
+  kMembership = 6,
 };
-inline constexpr int kTrafficClasses = 9;
+inline constexpr int kTrafficClasses = 7;
 
 class World;
 
@@ -210,15 +208,17 @@ class World {
   }
 
   /// Arms (or with nullptr disarms) a deterministic fault-injection plan
-  /// and resets the per-rank send counters, so FaultEvent::nth_send counts
-  /// from this call. With no plan armed the hot path pays one predicted
-  /// branch per send.
+  /// and resets the per-rank send and delivered-receive counters, so
+  /// FaultEvent ordinals count from this call. With no plan armed the hot
+  /// path pays one acquire load and one predicted branch per send and per
+  /// receive.
   void set_fault_plan(std::shared_ptr<const FaultPlan> plan);
 
   /// Deadline for blocking receives and PendingMsg::wait in milliseconds;
-  /// <= 0 disables (the default unless AERIS_COMM_TIMEOUT_MS is set in the
-  /// environment). On expiry the blocked op throws CommTimeoutError
-  /// carrying `deadlock_dump()`.
+  /// <= 0 disables. The constructor reads the default from
+  /// AERIS_COMM_TIMEOUT_MS (unset: off); a value that does not parse in
+  /// full throws std::invalid_argument naming the variable. On expiry the
+  /// blocked op throws CommTimeoutError carrying `deadlock_dump()`.
   void set_timeout(std::int64_t ms) {
     timeout_ms_.store(ms, std::memory_order_relaxed);
   }
@@ -266,6 +266,13 @@ class World {
   /// dropped. Corruption is payload-representation-specific and stays in
   /// the callers.
   bool apply_send_fault(const FaultEvent& ev, int src, std::uint64_t seq);
+  /// Receive-side hooks, run only with a plan armed. The first runs on
+  /// every receive attempt of `dst` and, once the world is poisoned, fires
+  /// `dst`'s latched receive-side kill; the second charges the
+  /// delivered-receive counter once a message is taken and applies the
+  /// matching kill or delay.
+  void fire_latched_recv_kill(const FaultPlan& plan, int dst);
+  void apply_recv_fault(const FaultPlan& plan, int dst);
 
   int nranks_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
@@ -276,6 +283,7 @@ class World {
   std::shared_ptr<const FaultPlan> fault_plan_;  ///< owns; raw ptr below
   std::atomic<const FaultPlan*> fault_{nullptr};
   std::vector<std::atomic<std::uint64_t>> send_seq_;
+  std::vector<std::atomic<std::uint64_t>> recv_seq_;
   /// One-shot per-rank kill latch: a rank dies at most once per armed
   /// plan, whether its kill fires at the exact ordinal or via the latched
   /// post-poison path. Reset when a plan is (re)armed.
@@ -312,21 +320,11 @@ class Communicator {
                    Traffic traffic = Traffic::kP2P);
   PendingMsg irecv(int src, std::uint64_t tag);
 
-  /// Root's payload is delivered to everyone (including root) along a
-  /// binomial tree: ceil(log2(size)) serial hops, and no rank copies the
-  /// payload more than log2(size) times (the old root-sends-to-all made
-  /// size-1 full copies serially on the root).
-  std::vector<float> broadcast(int root, std::vector<float> payload);
-
   /// In-place ring allreduce (sum): reduce-scatter + allgather, the
   /// bandwidth-optimal pattern used by gradient synchronization. Each ring
   /// hop is split into pipeline sub-chunks so a receiver starts reducing
   /// sub-chunk k while sub-chunk k+1 is still in flight.
   void allreduce_sum(std::span<float> data);
-
-  /// Each rank contributes `mine`; returns the concatenation in group
-  /// rank order. All contributions must have equal size.
-  std::vector<float> allgather(std::span<const float> mine);
 
   /// Segmented accessor for ragged collectives: fills `part` with (or, when
   /// `accumulate`, adds into `part`) the local contribution for section
@@ -344,8 +342,7 @@ class Communicator {
   /// In-place ragged allgather (allgather-v): `data` is the rank-order
   /// concatenation of per-rank sections of `counts[r]` floats; on entry
   /// only the caller's own section is valid, on exit all are. One
-  /// collective replaces a per-section broadcast loop; total bytes moved
-  /// are identical: (size-1) * sum(counts).
+  /// collective moves (size-1) * sum(counts) floats in total.
   void allgatherv(std::span<float> data, std::span<const std::int64_t> counts);
 
   /// Allgather-v that scatters on receipt: the caller's section `mine` is
@@ -376,8 +373,6 @@ class Communicator {
   /// primitive (§V-A: "alltoall collective before and after attention").
   std::vector<std::vector<float>> alltoall(
       std::vector<std::vector<float>> send);
-
-  void barrier();
 
  private:
   friend class RingAllreduce;

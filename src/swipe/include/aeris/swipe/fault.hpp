@@ -9,16 +9,17 @@ namespace aeris::swipe {
 
 /// What an injected fault does when it fires.
 enum class FaultKind : int {
-  kKillRank = 0,        ///< the sending rank dies (throws InjectedFault)
+  kKillRank = 0,        ///< the rank dies (throws InjectedFault)
   kDropMsg = 1,         ///< the message is charged but never delivered
-  kDelayMsg = 2,        ///< delivery is delayed by `delay_ms`
+  kDelayMsg = 2,        ///< the sender (on_recv: receiver) stalls `delay_ms`
   kCorruptPayload = 3,  ///< one payload bit is flipped in flight
 };
 
 /// One scheduled fault: fires when `rank` performs its `nth_send`-th send
-/// (0-based, counted from the moment the plan is armed on the world).
-/// Triggering on send ordinals rather than wall time is what makes every
-/// failure path deterministic and therefore testable.
+/// (0-based, counted from the moment the plan is armed on the world), or
+/// with `on_recv` its `nth_send`-th *delivered receive*. Triggering on
+/// message ordinals rather than wall time is what makes every failure path
+/// deterministic and therefore testable.
 struct FaultEvent {
   FaultKind kind = FaultKind::kKillRank;
   int rank = -1;
@@ -28,21 +29,28 @@ struct FaultEvent {
   /// The default flips a mantissa bit, turning 1.0f into 0.5f.
   std::uint32_t corrupt_xor = 0x00800000u;
   /// Latched kill (kKillRank only): if the world is poisoned before this
-  /// rank reaches `nth_send`, the kill fires on the rank's next send
+  /// rank reaches its ordinal, the kill fires on the rank's next send (on
+  /// the receive side: its next receive attempt, even on an empty queue)
   /// anyway — as an *originating* InjectedFault rather than a secondary
   /// PeerFailedError. This is what makes multi-kill drills stackable: the
   /// first kill poisons the world, and without latching every later kill
   /// was unreachable (the doomed rank unwound as a casualty before its
   /// ordinal came up). Exact-ordinal fires behave as before.
   bool latch = false;
+  /// Receive side: the ordinal counts the rank's delivered receives
+  /// (`recv`, `recv_shared` and a successful `PendingMsg::test`), never its
+  /// sends. Only kDelayMsg (the receiver sleeps `delay_ms` after taking the
+  /// message: a hang, not a crash) and kKillRank are allowed here.
+  bool on_recv = false;
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
 /// A deterministic, seedable fault-injection schedule. Armed on a `World`
-/// via `set_fault_plan`, which also resets the per-rank send counters so
-/// `nth_send` is relative to the arming point. The plan is read-only once
-/// armed (no per-send mutation), so matching is race-free by construction.
+/// via `set_fault_plan`, which also resets the per-rank send and receive
+/// counters so ordinals are relative to the arming point. The plan is
+/// read-only once armed (no per-message mutation), so matching is
+/// race-free by construction.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -55,28 +63,31 @@ class FaultPlan {
                           std::uint64_t max_send,
                           FaultKind kind = FaultKind::kKillRank);
 
-  FaultPlan& add(const FaultEvent& ev) {
-    events_.push_back(ev);
-    return *this;
-  }
+  /// Appends `ev`; throws std::invalid_argument for a receive-side event
+  /// of a kind other than kDelayMsg or kKillRank.
+  FaultPlan& add(const FaultEvent& ev);
 
   const std::vector<FaultEvent>& events() const { return events_; }
 
-  /// The event (if any) scheduled for `rank`'s `seq`-th send. Read-only
-  /// and safe to call concurrently from every rank thread.
-  const FaultEvent* match(int rank, std::uint64_t seq) const {
+  /// The event (if any) scheduled for `rank`'s `seq`-th send (or, with
+  /// `on_recv`, delivered receive). Read-only and safe to call
+  /// concurrently from every rank thread.
+  const FaultEvent* match(int rank, std::uint64_t seq, bool on_recv) const {
     for (const FaultEvent& ev : events_) {
-      if (ev.rank == rank && ev.nth_send == seq) return &ev;
+      if (ev.rank == rank && ev.nth_send == seq && ev.on_recv == on_recv) {
+        return &ev;
+      }
     }
     return nullptr;
   }
 
-  /// The latched kill scheduled for `rank`, if any — consulted by the
-  /// world once it is poisoned so the rank can die its scheduled death
-  /// even though its exact ordinal will never be reached.
-  const FaultEvent* latched_kill(int rank) const {
+  /// The latched kill scheduled for `rank` on the given side, if any —
+  /// consulted by the world once it is poisoned so the rank can die its
+  /// scheduled death even though its exact ordinal will never be reached.
+  const FaultEvent* latched_kill(int rank, bool on_recv) const {
     for (const FaultEvent& ev : events_) {
-      if (ev.rank == rank && ev.latch && ev.kind == FaultKind::kKillRank) {
+      if (ev.rank == rank && ev.latch && ev.kind == FaultKind::kKillRank &&
+          ev.on_recv == on_recv) {
         return &ev;
       }
     }
@@ -93,7 +104,7 @@ class FaultPlan {
 /// the rank is dead to its peers even if user code swallows the exception).
 class InjectedFault : public PeerFailedError {
  public:
-  InjectedFault(int rank, std::uint64_t seq);
+  InjectedFault(int rank, std::uint64_t seq, bool on_recv = false);
 };
 
 }  // namespace aeris::swipe

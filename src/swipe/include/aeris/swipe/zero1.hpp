@@ -38,12 +38,6 @@ class Zero1Optimizer {
   /// `Param::grad`; only the sharded update + allgather-v remain.
   void step_reduced(Communicator& group, float lr);
 
-  /// Legacy blocking redistribution (one broadcast per parameter tensor).
-  /// Kept as the reference implementation the parity tests compare the
-  /// allgather-v path against, bit for bit.
-  void step_broadcast_reference(Communicator& group, float lr,
-                                float grad_scale);
-
   /// This rank's parameter shard [begin, end) for a group of `size`.
   static std::pair<std::size_t, std::size_t> shard_range(
       std::size_t num_params, int group_size, int group_rank);

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "aeris/core/env.hpp"
 #include "aeris/swipe/fault.hpp"
 
 namespace aeris::swipe {
@@ -16,15 +17,6 @@ namespace {
 // getenv is surprisingly expensive (libc lock + linear scan); read the
 // trace flag once per process instead of on every rank failure path.
 const bool kTraceEnabled = std::getenv("AERIS_TRACE") != nullptr;
-
-// Default receive deadline, read once per process. 0 = timeouts off.
-std::int64_t env_timeout_ms() {
-  static const std::int64_t v = [] {
-    const char* s = std::getenv("AERIS_COMM_TIMEOUT_MS");
-    return s ? static_cast<std::int64_t>(std::atoll(s)) : std::int64_t{0};
-  }();
-  return v;
-}
 
 // Ring hops are pipelined in sub-chunks of this many floats (64 KiB): a
 // receiver reduces sub-chunk k while sub-chunk k+1 is still in flight.
@@ -71,18 +63,22 @@ World::World(int nranks)
     : nranks_(nranks),
       rank_bytes_(nranks),
       send_seq_(nranks),
+      recv_seq_(nranks),
       kill_fired_(nranks) {
   if (nranks <= 0) throw std::invalid_argument("World: nranks must be > 0");
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
   }
-  timeout_ms_.store(env_timeout_ms(), std::memory_order_relaxed);
+  timeout_ms_.store(
+      core::env_number<std::int64_t>("AERIS_COMM_TIMEOUT_MS", 0),
+      std::memory_order_relaxed);
   reset_counters();
 }
 
 void World::set_fault_plan(std::shared_ptr<const FaultPlan> plan) {
   for (auto& c : send_seq_) c.store(0, std::memory_order_relaxed);
+  for (auto& c : recv_seq_) c.store(0, std::memory_order_relaxed);
   for (auto& f : kill_fired_) f.store(false, std::memory_order_relaxed);
   fault_plan_ = std::move(plan);
   fault_.store(fault_plan_.get(), std::memory_order_release);
@@ -93,7 +89,7 @@ const FaultEvent* World::next_send_fault(int src) {
   if (!plan) return nullptr;
   const std::uint64_t seq = send_seq_[static_cast<std::size_t>(src)].fetch_add(
       1, std::memory_order_relaxed);
-  const FaultEvent* ev = plan->match(src, seq);
+  const FaultEvent* ev = plan->match(src, seq, /*on_recv=*/false);
   auto& fired = kill_fired_[static_cast<std::size_t>(src)];
   if (ev && ev->kind == FaultKind::kKillRank) {
     if (fired.exchange(true, std::memory_order_acq_rel)) return nullptr;
@@ -108,7 +104,8 @@ const FaultEvent* World::next_send_fault(int src) {
   // originating failure) instead of unwinding as a secondary casualty
   // with the event silently skipped. This is what lets multi-kill drills
   // land every scheduled death in one incarnation.
-  if (poisoned_.load(std::memory_order_acquire) && plan->latched_kill(src) &&
+  if (poisoned_.load(std::memory_order_acquire) &&
+      plan->latched_kill(src, /*on_recv=*/false) &&
       !fired.exchange(true, std::memory_order_acq_rel)) {
     throw InjectedFault(src, seq);
   }
@@ -126,6 +123,41 @@ bool World::apply_send_fault(const FaultEvent& ev, int /*src*/,
     default:
       return false;  // kill handled in next_send_fault, corrupt in callers
   }
+}
+
+void World::fire_latched_recv_kill(const FaultPlan& plan, int dst) {
+  // The receive-side twin of the send path's latch: a rank whose
+  // scheduled receive never comes because the world is already dying dies
+  // its own death on this attempt, even with nothing queued.
+  auto& fired = kill_fired_[static_cast<std::size_t>(dst)];
+  if (!poisoned_.load(std::memory_order_acquire) ||
+      plan.latched_kill(dst, /*on_recv=*/true) == nullptr ||
+      fired.exchange(true, std::memory_order_acq_rel)) {
+    return;
+  }
+  throw InjectedFault(
+      dst,
+      recv_seq_[static_cast<std::size_t>(dst)].load(std::memory_order_relaxed),
+      /*on_recv=*/true);
+}
+
+void World::apply_recv_fault(const FaultPlan& plan, int dst) {
+  const std::uint64_t seq = recv_seq_[static_cast<std::size_t>(dst)].fetch_add(
+      1, std::memory_order_relaxed);
+  const FaultEvent* ev = plan.match(dst, seq, /*on_recv=*/true);
+  if (ev == nullptr) return;
+  if (ev->kind == FaultKind::kDelayMsg) {
+    // The message is already taken: the rank hangs holding it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(ev->delay_ms));
+    return;
+  }
+  // kKillRank, the only other kind FaultPlan::add admits on this side.
+  if (kill_fired_[static_cast<std::size_t>(dst)].exchange(
+          true, std::memory_order_acq_rel)) {
+    return;
+  }
+  poison(dst, "injected kill");
+  throw InjectedFault(dst, seq, /*on_recv=*/true);
 }
 
 void World::poison(int rank, const std::string& why) {
@@ -183,6 +215,11 @@ void World::await_message(Mailbox& box, std::unique_lock<std::mutex>& lock,
     if (poisoned_.load(std::memory_order_acquire)) {
       box.blocked_op = nullptr;
       lock.unlock();
+      // A receive the poison woke is an attempt too: a latched
+      // receive-side kill fires here rather than as a secondary failure.
+      if (const FaultPlan* plan = fault_.load(std::memory_order_acquire)) {
+        fire_latched_recv_kill(*plan, dst);
+      }
       throw_peer_failed(op, dst, src, tag);
     }
     if (timeout <= 0) {
@@ -237,8 +274,8 @@ std::string World::deadlock_dump() const {
     }
   }
   static constexpr const char* kClassNames[kTrafficClasses] = {
-      "p2p",       "alltoall",       "allreduce", "broadcast",  "allgather",
-      "reduce_scatter", "barrier",   "serving",   "membership"};
+      "p2p",     "alltoall", "allreduce", "allgather", "reduce_scatter",
+      "serving", "membership"};
   out += "bytes:";
   for (int t = 0; t < kTrafficClasses; ++t) {
     std::snprintf(line, sizeof(line), " %s=%lld", kClassNames[t],
@@ -339,8 +376,13 @@ void World::send_shared(int src, int dst, std::uint64_t tag,
   box.cv.notify_all();
 }
 
+// Every receive path loads the armed plan once: disarmed, that acquire
+// load is the whole cost of the receive-side fault hooks.
+
 std::shared_ptr<const std::vector<float>> World::recv_shared(
     int dst, int src, std::uint64_t tag) {
+  const FaultPlan* plan = fault_.load(std::memory_order_acquire);
+  if (plan) fire_latched_recv_kill(*plan, dst);
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   std::unique_lock<std::mutex> lock(box.mutex);
   await_message(box, lock, dst, src, tag, "recv_shared");
@@ -349,10 +391,14 @@ std::shared_ptr<const std::vector<float>> World::recv_shared(
       std::move(it->second.front().data);
   it->second.pop_front();
   if (it->second.empty()) box.queues.erase(it);
+  lock.unlock();
+  if (plan) apply_recv_fault(*plan, dst);
   return payload;
 }
 
 std::vector<float> World::recv(int dst, int src, std::uint64_t tag) {
+  const FaultPlan* plan = fault_.load(std::memory_order_acquire);
+  if (plan) fire_latched_recv_kill(*plan, dst);
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   std::unique_lock<std::mutex> lock(box.mutex);
   await_message(box, lock, dst, src, tag, "recv");
@@ -361,6 +407,7 @@ std::vector<float> World::recv(int dst, int src, std::uint64_t tag) {
   it->second.pop_front();
   if (it->second.empty()) box.queues.erase(it);
   lock.unlock();
+  if (plan) apply_recv_fault(*plan, dst);
   return claim(std::move(msg));
 }
 
@@ -381,6 +428,8 @@ PendingMsg World::irecv(int dst, int src, std::uint64_t tag) {
 
 bool World::try_recv(int dst, int src, std::uint64_t tag,
                      std::vector<float>& out) {
+  const FaultPlan* plan = fault_.load(std::memory_order_acquire);
+  if (plan) fire_latched_recv_kill(*plan, dst);
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   Msg msg;
   {
@@ -398,6 +447,7 @@ bool World::try_recv(int dst, int src, std::uint64_t tag,
     it->second.pop_front();
     if (it->second.empty()) box.queues.erase(it);
   }
+  if (plan) apply_recv_fault(*plan, dst);
   out = claim(std::move(msg));
   return true;
 }
@@ -571,61 +621,9 @@ void Communicator::fanout_send(std::span<const int> dsts, std::uint64_t tag,
   }
 }
 
-std::vector<float> Communicator::broadcast(int root,
-                                           std::vector<float> payload) {
-  const std::uint64_t tag = collective_epoch_++;
-  const int n = size();
-  if (n == 1) return payload;
-  // Binomial tree in root-relative rank space (MPI's Bcast_binomial):
-  // rank rel receives from rel - highest_bit(rel), then serves the
-  // subtree [rel, rel + highest_bit(rel)).
-  const int rel = (rank() - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (rel & mask) {
-      payload = recv((rank() - mask + n) % n, tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rel + mask < n) {
-      send((rank() + mask) % n, tag, payload, Traffic::kBroadcast);
-    }
-    mask >>= 1;
-  }
-  return payload;
-}
-
 void Communicator::allreduce_sum(std::span<float> data) {
   RingAllreduce reduce(*this, data);
   reduce.finish();
-}
-
-std::vector<float> Communicator::allgather(std::span<const float> mine) {
-  const std::uint64_t tag = collective_epoch_++;
-  std::vector<float> out(mine.size() * static_cast<std::size_t>(size()));
-  for (int r = 0; r < size(); ++r) {
-    if (r != rank()) {
-      isend(r, tag, std::vector<float>(mine.begin(), mine.end()),
-            Traffic::kAllGather);
-    }
-  }
-  std::copy(mine.begin(), mine.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(
-                              mine.size() * static_cast<std::size_t>(rank())));
-  for (int r = 0; r < size(); ++r) {
-    if (r == rank()) continue;
-    std::vector<float> in = recv(r, tag);
-    if (in.size() != mine.size()) {
-      throw std::runtime_error("allgather: unequal contributions");
-    }
-    std::copy(in.begin(), in.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                in.size() * static_cast<std::size_t>(r)));
-  }
-  return out;
 }
 
 void Communicator::allgatherv(std::span<const float> mine,
@@ -648,8 +646,7 @@ void Communicator::allgatherv(std::span<const float> mine,
   // section to all peers eagerly (one shared buffer per sub-chunk, fanned
   // out by reference), then drains the r-1 incoming sections straight into
   // the sink. One latency round instead of a ring's r-1 serial forwarding
-  // hops, and total traffic is (r-1) * sum(counts) — byte-identical to a
-  // per-section broadcast loop, in one collective.
+  // hops, and total traffic is (r-1) * sum(counts).
   const std::uint64_t tag = reserve_epochs(1);
   const int me = rank();
   std::vector<int> peers;
@@ -827,19 +824,6 @@ std::vector<std::vector<float>> Communicator::alltoall(
     if (r != rank()) out[static_cast<std::size_t>(r)] = recv(r, tag);
   }
   return out;
-}
-
-void Communicator::barrier() {
-  const std::uint64_t tag = collective_epoch_++;
-  // All-to-root-and-back. Control messages are empty and accounted under
-  // kBarrier so they never perturb the P2P pipeline-volume model.
-  if (rank() == 0) {
-    for (int r = 1; r < size(); ++r) recv(r, tag);
-    for (int r = 1; r < size(); ++r) send(r, tag, {}, Traffic::kBarrier);
-  } else {
-    send(0, tag, {}, Traffic::kBarrier);
-    recv(0, tag);
-  }
 }
 
 // ---------------------------------------------------------- RingAllreduce

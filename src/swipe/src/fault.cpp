@@ -1,6 +1,8 @@
 #include "aeris/swipe/fault.hpp"
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 namespace aeris::swipe {
 namespace {
@@ -14,10 +16,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::string fault_message(int rank, std::uint64_t seq) {
+std::string fault_message(int rank, std::uint64_t seq, bool on_recv) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
-                "rank %d failed (injected kill at send #%llu)", rank,
+                "rank %d failed (injected kill at %s #%llu)", rank,
+                on_recv ? "receive" : "send",
                 static_cast<unsigned long long>(seq));
   return buf;
 }
@@ -42,7 +45,17 @@ FaultPlan FaultPlan::random(std::uint64_t seed, int nranks, int n_events,
   return plan;
 }
 
-InjectedFault::InjectedFault(int rank, std::uint64_t seq)
-    : PeerFailedError(rank, fault_message(rank, seq)) {}
+FaultPlan& FaultPlan::add(const FaultEvent& ev) {
+  if (ev.on_recv && ev.kind != FaultKind::kDelayMsg &&
+      ev.kind != FaultKind::kKillRank) {
+    throw std::invalid_argument(
+        "FaultPlan::add: a receive-side event must be kDelayMsg or kKillRank");
+  }
+  events_.push_back(ev);
+  return *this;
+}
+
+InjectedFault::InjectedFault(int rank, std::uint64_t seq, bool on_recv)
+    : PeerFailedError(rank, fault_message(rank, seq, on_recv)) {}
 
 }  // namespace aeris::swipe

@@ -185,31 +185,4 @@ void Zero1Optimizer::step_reduced(Communicator& group, float lr) {
   update_and_allgather(group, lr);
 }
 
-void Zero1Optimizer::step_broadcast_reference(Communicator& group, float lr,
-                                              float grad_scale) {
-  reduce_grads(group, grad_scale);
-
-  const auto [begin, end] =
-      shard_range(params_.size(), group.size(), group.rank());
-  opt_.step_shard(lr, begin, end);
-
-  // Blocking redistribution: each shard owner broadcasts its params one
-  // tensor at a time (the pre-allgather-v behaviour the parity tests pin).
-  for (int r = 0; r < group.size(); ++r) {
-    const auto [b, e] = shard_range(params_.size(), group.size(), r);
-    for (std::size_t i = b; i < e; ++i) {
-      std::vector<float> values;
-      if (r == group.rank()) {
-        values.assign(params_[i]->value.flat().begin(),
-                      params_[i]->value.flat().end());
-      }
-      values = group.broadcast(r, std::move(values));
-      if (r != group.rank()) {
-        std::copy(values.begin(), values.end(),
-                  params_[i]->value.flat().begin());
-      }
-    }
-  }
-}
-
 }  // namespace aeris::swipe

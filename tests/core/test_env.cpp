@@ -1,4 +1,4 @@
-#include "env.hpp"
+#include "aeris/core/env.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,10 @@
 #include <stdexcept>
 #include <string>
 
-namespace aeris::serving::detail {
+namespace aeris::core {
 namespace {
 
-constexpr const char* kKnob = "AERIS_SERVE_TEST_ENV_KNOB";
+constexpr const char* kKnob = "AERIS_TEST_ENV_KNOB";
 
 // Sets kKnob for the scope of one test and unsets it afterwards, so a
 // failing assertion cannot leak the value into the next test.
@@ -125,4 +125,4 @@ TEST(EnvNumber, DoubleOverflowThrows) {
 }
 
 }  // namespace
-}  // namespace aeris::serving::detail
+}  // namespace aeris::core

@@ -197,13 +197,10 @@ TEST(ClusterForecastServer, WorkerDeathRecoversBitwise) {
 // originating failures, the front-end must count both dead, every leased
 // member must be requeued exactly once (members_served * steps committed
 // steps total — no member finishes short, none runs twice), and the
-// request still completes bitwise. FaultPlan kills can script this too now
-// (the fault hook runs before the poison check, and FaultEvent::latch
-// covers ordinals a doomed rank never reaches — see test_elastic.cpp);
-// this drill keeps the escaped-exception flavor to pin the classification
-// of *user* exceptions as originating: both ranks hold their first pack at
-// a rendezvous, then both throw, and a user exception is recorded as
-// originating no matter which unwinding poisoned first.
+// request still completes bitwise. Both kills are latched receive-side
+// events at ordinal 0: whichever rank takes its first pack first dies and
+// poisons the world, and the other dies its own (originating) death on
+// its first pack or, if that never came, on its next poll.
 TEST(ClusterForecastServer, TwoConcurrentWorkerDeathsAggregateAndRecover) {
   AerisModel model = make_model(11);
   ParallelEnsembleEngine engine = make_engine(model);
@@ -217,7 +214,17 @@ TEST(ClusterForecastServer, TwoConcurrentWorkerDeathsAggregateAndRecover) {
   ClusterOptions co;
   co.ranks = 4;  // three workers; two die in the same window
   co.serve.batch = 2;  // 4 members -> two step-0 packs, one per dying rank
-  co.die_on_first_pack = {1, 2};
+  auto plan = std::make_shared<swipe::FaultPlan>();
+  for (const int rank : {1, 2}) {
+    swipe::FaultEvent kill;
+    kill.kind = swipe::FaultKind::kKillRank;
+    kill.rank = rank;
+    kill.nth_send = 0;  // the first pack this rank takes
+    kill.latch = true;
+    kill.on_recv = true;
+    plan->add(kill);
+  }
+  co.fault_plan = plan;
   ClusterForecastServer cluster(engine, co);
 
   const ForecastResult got = cluster.forecast(make_request(9, 4, 3));
@@ -270,7 +277,9 @@ TEST(ClusterForecastServer, QuorumLossDrainsInFlightWithTypedErrors) {
 // A hung (not crashed) worker: it stops heartbeating while holding a
 // lease, so the front-end's lease/heartbeat monitor must condemn it,
 // poison the world on its behalf, and recover on the survivor — the
-// client still gets a bitwise-correct result.
+// client still gets a bitwise-correct result. The hang is a receive-side
+// delay on rank 1's first pack; heartbeats are sends, so they do not move
+// the receive ordinal.
 TEST(ClusterForecastServer, LeaseTimeoutCondemnsHungWorker) {
   AerisModel model = make_model(11);
   ParallelEnsembleEngine engine = make_engine(model);
@@ -287,9 +296,15 @@ TEST(ClusterForecastServer, LeaseTimeoutCondemnsHungWorker) {
   co.heartbeat_interval_ms = 10.0;
   co.heartbeat_timeout_ms = 120.0;
   co.lease_timeout_ms = 120.0;
-  co.stall_rank = 1;
-  co.stall_after_packs = 0;  // hang on the very first pack
-  co.stall_ms = 700.0;
+  auto plan = std::make_shared<swipe::FaultPlan>();
+  swipe::FaultEvent hang;
+  hang.kind = swipe::FaultKind::kDelayMsg;
+  hang.rank = 1;
+  hang.nth_send = 0;  // hang on the very first pack
+  hang.delay_ms = 700;
+  hang.on_recv = true;
+  plan->add(hang);
+  co.fault_plan = plan;
   ClusterForecastServer cluster(engine, co);
 
   const ForecastResult got = cluster.forecast(make_request(5, 2, 2));
@@ -582,6 +597,54 @@ TEST(ClusterOptions, FromEnvWithNothingSetKeepsDefaults) {
   EXPECT_EQ(o.rejoin, d.rejoin);
   EXPECT_EQ(o.probation_ms, d.probation_ms);
   EXPECT_EQ(o.max_ranks, d.max_ranks);
+}
+
+// Each ClusterOptions invariant is checked at construction, not clamped:
+// the constructor throws std::invalid_argument naming the field and the
+// offending value.
+void expect_rejected(const ClusterOptions& co, const std::string& field,
+                     const std::string& value) {
+  AerisModel model = make_model(11);
+  ParallelEnsembleEngine engine = make_engine(model);
+  try {
+    ClusterForecastServer cluster(engine, co);
+    ADD_FAILURE() << field << " = " << value << " accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field + " = " + value), std::string::npos) << what;
+  }
+}
+
+TEST(ClusterOptions, RanksBelowTwoThrows) {
+  ClusterOptions co;
+  co.ranks = 1;
+  expect_rejected(co, "ranks", "1");
+}
+
+TEST(ClusterOptions, MinQuorumBelowOneThrows) {
+  ClusterOptions co;
+  co.min_quorum = 0;
+  expect_rejected(co, "min_quorum", "0");
+}
+
+TEST(ClusterOptions, MaxOutstandingPacksBelowOneThrows) {
+  ClusterOptions co;
+  co.max_outstanding_packs = 0;
+  expect_rejected(co, "max_outstanding_packs", "0");
+}
+
+TEST(ClusterOptions, PositiveMaxRanksBelowRanksThrows) {
+  ClusterOptions co;
+  co.ranks = 3;
+  co.max_ranks = 2;
+  expect_rejected(co, "max_ranks", "2");
+  // The documented sentinel stays: max_ranks <= 0 means `ranks`.
+  AerisModel model = make_model(11);
+  ParallelEnsembleEngine engine = make_engine(model);
+  co.rejoin = true;
+  co.max_ranks = 0;
+  ClusterForecastServer cluster(engine, co);
+  EXPECT_FALSE(cluster.offer_worker());  // no headroom above `ranks`
 }
 
 }  // namespace

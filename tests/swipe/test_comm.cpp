@@ -123,40 +123,6 @@ TEST(World, RunPropagatesExceptions) {
                std::runtime_error);
 }
 
-TEST(Comm, BroadcastFromEveryRoot) {
-  const int n = 4;
-  World world(n);
-  for (int root = 0; root < n; ++root) {
-    world.run([&, root](int rank) {
-      Communicator comm(world, all_ranks(n), rank, 1);
-      std::vector<float> payload;
-      if (rank == root) payload = {static_cast<float>(root), 42.0f};
-      const auto got = comm.broadcast(root, std::move(payload));
-      ASSERT_EQ(got.size(), 2u);
-      EXPECT_FLOAT_EQ(got[0], static_cast<float>(root));
-    });
-  }
-}
-
-TEST(Comm, BroadcastMovesPayloadOncePerNonRoot) {
-  const int n = 5;
-  World world(n);
-  world.run([&](int rank) {
-    Communicator comm(world, all_ranks(n), rank, 13);
-    std::vector<float> payload;
-    if (rank == 2) payload.assign(10, 1.0f);
-    const auto got = comm.broadcast(2, std::move(payload));
-    ASSERT_EQ(got.size(), 10u);
-  });
-  // Binomial tree: the payload crosses exactly n-1 edges in total...
-  EXPECT_EQ(world.bytes(Traffic::kBroadcast),
-            static_cast<std::int64_t>((n - 1) * 10 * sizeof(float)));
-  // ...and the root serves only its ceil(log2(n)) direct children instead
-  // of all n-1 ranks.
-  EXPECT_LT(world.rank_bytes(2, Traffic::kBroadcast),
-            static_cast<std::int64_t>((n - 1) * 10 * sizeof(float)));
-}
-
 class AllreduceSizes : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(AllreduceSizes, RingAllreduceSums) {
@@ -197,22 +163,6 @@ TEST(Comm, AllreduceVolumeMatchesRingBound) {
   const std::int64_t per_rank = world.rank_bytes(0, Traffic::kAllReduce);
   EXPECT_EQ(per_rank, static_cast<std::int64_t>(2 * (n - 1) *
                                                 (elems / n) * sizeof(float)));
-}
-
-TEST(Comm, AllgatherConcatenatesInRankOrder) {
-  const int n = 3;
-  World world(n);
-  world.run([&](int rank) {
-    Communicator comm(world, all_ranks(n), rank, 3);
-    std::vector<float> mine = {static_cast<float>(rank),
-                               static_cast<float>(rank) + 0.5f};
-    const auto all = comm.allgather(mine);
-    ASSERT_EQ(all.size(), 6u);
-    for (int r = 0; r < n; ++r) {
-      EXPECT_FLOAT_EQ(all[static_cast<std::size_t>(2 * r)],
-                      static_cast<float>(r));
-    }
-  });
 }
 
 TEST(Comm, AllgathervGathersRaggedSections) {
@@ -363,9 +313,11 @@ TEST(Comm, ConcurrentCollectivesOnSplitGroupsStayIsolated) {
       const float cwant = static_cast<float>(4 * col + 4 + 2 * iter);
       for (const float v : rdata) ASSERT_FLOAT_EQ(v, rwant) << "iter " << iter;
       for (const float v : cdata) ASSERT_FLOAT_EQ(v, cwant) << "iter " << iter;
-      const auto gathered =
-          rows.allgather(std::vector<float>{static_cast<float>(rank)});
-      ASSERT_EQ(gathered.size(), 2u);
+      std::vector<float> gathered(2, -1.0f);
+      gathered[static_cast<std::size_t>(rows.rank())] =
+          static_cast<float>(rank);
+      const std::int64_t counts[] = {1, 1};
+      rows.allgatherv(gathered, counts);
       EXPECT_FLOAT_EQ(gathered[0], static_cast<float>(2 * row));
       EXPECT_FLOAT_EQ(gathered[1], static_cast<float>(2 * row + 1));
     }
@@ -407,17 +359,6 @@ TEST(Comm, AlltoallSupportsRaggedBuffers) {
                 static_cast<std::size_t>(s + rank));
     }
   });
-}
-
-TEST(Comm, BarrierCompletes) {
-  const int n = 5;
-  World world(n);
-  world.run([&](int rank) {
-    Communicator comm(world, all_ranks(n), rank, 7);
-    for (int i = 0; i < 3; ++i) comm.barrier();
-    (void)rank;
-  });
-  SUCCEED();
 }
 
 TEST(Comm, SubgroupIsolation) {

@@ -289,8 +289,7 @@ TEST(SwipeEngine, WindowParallelismReducesActivationAndP2PNotAllreduce) {
     // Block-stage rank (pp=1): representative P2P sender.
     const int block_rank = rank_of(ec.grid, {0, 1, 0, 0});
     out.p2p_per_rank = world.rank_bytes(block_rank, Traffic::kP2P);
-    out.allreduce_total = world.bytes(Traffic::kAllReduce) +
-                          world.bytes(Traffic::kBroadcast);
+    out.allreduce_total = world.bytes(Traffic::kAllReduce);
     out.activation_floats =
         runs[static_cast<std::size_t>(block_rank)].activation_floats;
     const int input_rank = rank_of(ec.grid, {0, 0, 0, 0});

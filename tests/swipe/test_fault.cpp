@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -354,6 +356,208 @@ TEST(Fault, QueuedMessagesSurvivePoisoning) {
   EXPECT_EQ(world.recv(1, 0, /*tag=*/4), std::vector<float>({8.0f}));
   PendingMsg empty = world.irecv(1, 0, /*tag=*/4);
   EXPECT_THROW(empty.test(), PeerFailedError);
+}
+
+FaultEvent recv_event(FaultKind kind, int rank, std::uint64_t nth) {
+  FaultEvent ev;
+  ev.kind = kind;
+  ev.rank = rank;
+  ev.nth_send = nth;
+  ev.on_recv = true;
+  return ev;
+}
+
+// A receive-side event counts its rank's delivered receives — recv,
+// recv_shared and a successful PendingMsg::test alike — and fires on
+// exactly the nth: not on another rank's receives, not on an empty poll.
+TEST(Fault, RecvEventFiresOnExactlyTheNthDeliveredReceive) {
+  World world(3);
+  auto plan = std::make_shared<FaultPlan>();
+  plan->add(recv_event(FaultKind::kKillRank, /*rank=*/1, /*nth=*/2));
+  world.set_fault_plan(plan);
+  for (int i = 0; i < 3; ++i) {
+    world.send(0, 1, /*tag=*/1, {static_cast<float>(i)});
+    world.send(0, 2, /*tag=*/1, {static_cast<float>(i)});
+  }
+  // Rank 2's receives never move rank 1's ordinal.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(world.recv(2, 0, /*tag=*/1),
+              std::vector<float>({static_cast<float>(i)}));
+  }
+  PendingMsg empty = world.irecv(1, 0, /*tag=*/9);
+  EXPECT_FALSE(empty.test());  // an empty poll delivers nothing
+  EXPECT_EQ(world.recv(1, 0, /*tag=*/1), std::vector<float>({0.0f}));  // #0
+  EXPECT_EQ(*world.recv_shared(1, 0, /*tag=*/1),
+            std::vector<float>({1.0f}));  // #1
+  EXPECT_FALSE(world.poisoned());
+  PendingMsg third = world.irecv(1, 0, /*tag=*/1);
+  try {
+    (void)third.test();  // #2
+    FAIL() << "receive-side kill did not fire";
+  } catch (const InjectedFault& e) {
+    EXPECT_EQ(e.failed_rank(), 1);
+    EXPECT_NE(std::string(e.what()).find("receive #2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(world.poisoned());
+  EXPECT_EQ(world.failed_rank(), 1);
+}
+
+// A receive-side delay is a hang, not a crash: the receiver stalls after
+// taking the message, and the payload arrives intact.
+TEST(Fault, RecvDelayDeliversThePayloadIntactAfterTheDelay) {
+  World world(2);
+  auto plan = std::make_shared<FaultPlan>();
+  FaultEvent hang = recv_event(FaultKind::kDelayMsg, /*rank=*/1, /*nth=*/0);
+  hang.delay_ms = 40;
+  plan->add(hang);
+  world.set_fault_plan(plan);
+  world.send(0, 1, /*tag=*/3, {1.0f, 2.0f, 3.0f});
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<float> got = world.recv(1, 0, /*tag=*/3);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(got, std::vector<float>({1.0f, 2.0f, 3.0f}));
+  EXPECT_GE(waited, std::chrono::milliseconds(40));
+  EXPECT_FALSE(world.poisoned());
+}
+
+// A latched receive-side kill fires on the rank's next receive attempt
+// once the world is poisoned, even with nothing queued: as an originating
+// InjectedFault, both from a poll and from a receive the poison woke.
+TEST(Fault, LatchedRecvKillFiresOnAnEmptyQueueInAPoisonedWorld) {
+  {
+    World world(2);
+    auto plan = std::make_shared<FaultPlan>();
+    FaultEvent kill = recv_event(FaultKind::kKillRank, 1, /*nth=*/1000000);
+    kill.latch = true;
+    plan->add(kill);
+    world.set_fault_plan(plan);
+    PendingMsg idle = world.irecv(1, 0, /*tag=*/1);
+    EXPECT_FALSE(idle.test());  // armed but inert while the world is healthy
+    world.poison(0, "test poison");
+    EXPECT_THROW(idle.test(), InjectedFault);
+    // One death per rank: the next attempt is an ordinary casualty.
+    try {
+      (void)idle.test();
+      FAIL() << "poisoned empty poll returned";
+    } catch (const InjectedFault&) {
+      FAIL() << "latched kill fired twice";
+    } catch (const PeerFailedError&) {
+    }
+  }
+  World world(3);
+  auto plan = std::make_shared<FaultPlan>();
+  FaultEvent kill = recv_event(FaultKind::kKillRank, 2, /*nth=*/1000000);
+  kill.latch = true;
+  plan->add(kill);
+  world.set_fault_plan(plan);
+  EXPECT_THROW(world.run([&](int rank) {
+    if (rank == 0) throw std::runtime_error("boom on rank 0");
+    (void)world.recv(rank, 0, /*tag=*/1);  // never satisfied
+  }),
+               std::runtime_error);
+  bool r1_secondary = false, r2_originating = false;
+  for (const World::RankFailure& f : world.failures()) {
+    if (f.rank == 1 && f.secondary) r1_secondary = true;
+    if (f.rank == 2 && !f.secondary) r2_originating = true;
+  }
+  EXPECT_TRUE(r1_secondary) << "unarmed rank not a secondary casualty";
+  EXPECT_TRUE(r2_originating) << "latched receive kill not originating";
+}
+
+// Sends and receives keep separate ordinals: receives never advance a
+// send-side event, and sends never advance a receive-side one.
+TEST(Fault, SendOrdinalsAreUnaffectedByReceives) {
+  World world(2);
+  auto plan = std::make_shared<FaultPlan>();
+  plan->add(FaultEvent{FaultKind::kDropMsg, /*rank=*/1, /*nth_send=*/1});
+  plan->add(recv_event(FaultKind::kKillRank, /*rank=*/1, /*nth=*/2));
+  world.set_fault_plan(plan);
+  for (int i = 0; i < 3; ++i) {
+    world.send(0, 1, /*tag=*/1, {static_cast<float>(i)});
+  }
+  (void)world.recv(1, 0, /*tag=*/1);       // receive #0
+  world.send(1, 0, /*tag=*/2, {0.0f});     // send #0: delivered
+  (void)world.recv(1, 0, /*tag=*/1);       // receive #1
+  world.send(1, 0, /*tag=*/2, {1.0f});     // send #1: dropped
+  world.send(1, 0, /*tag=*/2, {2.0f});     // send #2: delivered
+  EXPECT_THROW(world.recv(1, 0, /*tag=*/1), InjectedFault);  // receive #2
+  EXPECT_EQ(world.recv(0, 1, /*tag=*/2), std::vector<float>({0.0f}));
+  EXPECT_EQ(world.recv(0, 1, /*tag=*/2), std::vector<float>({2.0f}));
+}
+
+TEST(Fault, AddRefusesDropAndCorruptOnTheReceiveSide) {
+  FaultPlan plan;
+  EXPECT_THROW(plan.add(recv_event(FaultKind::kDropMsg, 0, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(plan.add(recv_event(FaultKind::kCorruptPayload, 0, 0)),
+               std::invalid_argument);
+  EXPECT_TRUE(plan.events().empty());
+  plan.add(recv_event(FaultKind::kDelayMsg, 0, 0));
+  plan.add(recv_event(FaultKind::kKillRank, 0, 1));
+  EXPECT_EQ(plan.events().size(), 2u);
+}
+
+// Disarming restores plain receives, and re-arming restarts the receive
+// ordinals from zero.
+TEST(Fault, DisarmingRestoresPlainReceives) {
+  World world(2);
+  auto plan = std::make_shared<FaultPlan>();
+  plan->add(recv_event(FaultKind::kKillRank, /*rank=*/1, /*nth=*/1));
+  world.set_fault_plan(plan);
+  world.send(0, 1, /*tag=*/1, {1.0f});
+  EXPECT_EQ(world.recv(1, 0, /*tag=*/1), std::vector<float>({1.0f}));  // #0
+  world.set_fault_plan(nullptr);
+  for (int i = 0; i < 3; ++i) {
+    world.send(0, 1, /*tag=*/1, {static_cast<float>(i)});
+    EXPECT_EQ(world.recv(1, 0, /*tag=*/1),
+              std::vector<float>({static_cast<float>(i)}));
+  }
+  EXPECT_FALSE(world.poisoned());
+  world.set_fault_plan(plan);  // ordinals restart: #1 is two receives away
+  world.send(0, 1, /*tag=*/1, {4.0f});
+  world.send(0, 1, /*tag=*/1, {5.0f});
+  EXPECT_EQ(world.recv(1, 0, /*tag=*/1), std::vector<float>({4.0f}));
+  EXPECT_THROW(world.recv(1, 0, /*tag=*/1), InjectedFault);
+}
+
+// AERIS_COMM_TIMEOUT_MS is read with the strict rule of every AERIS_*
+// knob: garbage throws naming the variable instead of turning deadlines
+// off, and values <= 0 still mean "off".
+class ScopedCommTimeout {
+ public:
+  explicit ScopedCommTimeout(const char* value) {
+    ::setenv("AERIS_COMM_TIMEOUT_MS", value, 1);
+  }
+  ~ScopedCommTimeout() { ::unsetenv("AERIS_COMM_TIMEOUT_MS"); }
+  ScopedCommTimeout(const ScopedCommTimeout&) = delete;
+  ScopedCommTimeout& operator=(const ScopedCommTimeout&) = delete;
+};
+
+TEST(Fault, CommTimeoutEnvRejectsGarbageNamingTheVariable) {
+  for (const char* bad : {"abc", "10abc"}) {
+    ScopedCommTimeout env(bad);
+    try {
+      World world(2);
+      ADD_FAILURE() << "\"" << bad << "\" parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("AERIS_COMM_TIMEOUT_MS"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Fault, CommTimeoutEnvReadsValuesAndKeepsOffForNonPositive) {
+  {
+    ScopedCommTimeout env("25");
+    EXPECT_EQ(World(2).timeout_ms(), 25);
+  }
+  for (const char* off : {"0", "-5"}) {
+    ScopedCommTimeout env(off);
+    EXPECT_LE(World(2).timeout_ms(), 0) << off;
+  }
+  EXPECT_EQ(World(2).timeout_ms(), 0);  // unset: off
 }
 
 }  // namespace
