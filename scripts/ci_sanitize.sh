@@ -54,6 +54,11 @@
 # escaping the scope and freed on another thread, and unwinding out of a
 # throwing step_pack.
 #
+# Every suite runs even when an earlier one fails (a known flaky test
+# must not hide the suites after it): failures are collected, their names
+# printed at the end, and the script then exits 1. A failed build still
+# stops the script at once.
+#
 # Usage: scripts/ci_sanitize.sh [tsan_build_dir] [asan_build_dir]
 #   (defaults: <repo>/build-tsan, <repo>/build-asan)
 # Also wired as a CMake target: cmake --build build --target ci_sanitize
@@ -61,69 +66,77 @@ set -e
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build-tsan"}
 asan_build=${2:-"$repo/build-asan"}
+failed=""
+
+# run_suite <label> <command...>: runs one suite, prints "<label> clean" on
+# success and records the label on failure.
+run_suite() {
+  label=$1
+  shift
+  if "$@"; then
+    echo "$label clean"
+  else
+    echo "$label FAILED"
+    failed="$failed
+  $label"
+  fi
+}
+
+# TSan aborts the process on the first race (halt_on_error), so a clean
+# exit means a clean suite. The timeout backstops comm deadlocks.
+tsan() {
+  label=$1
+  shift
+  run_suite "$label" env TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
+    timeout 600 "$@"
+}
+
+asan() {
+  label=$1
+  shift
+  run_suite "$label" \
+    env ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
+    timeout 600 "$@"
+}
 
 cmake -B "$build" -S "$repo" -DAERIS_SANITIZE=thread
 cmake --build "$build" -j --target test_tensor test_nn test_recycle test_swipe test_core test_serving test_consistency test_multimodel test_cluster test_elastic
-# TSan aborts the process on the first race (halt_on_error), so a clean
-# exit means a clean suite. The timeout backstops comm deadlocks.
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_tensor"
-echo "TSan tensor suite (GEMM tiles, fast math, concurrent pool dispatch) clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_nn"
-echo "TSan nn suite clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_recycle"
-echo "TSan recycle suite clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_swipe"
-echo "TSan swipe suite clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_core" \
+tsan "TSan tensor suite (GEMM tiles, fast math, concurrent pool dispatch)" \
+  "$build/tests/test_tensor"
+tsan "TSan nn suite" "$build/tests/test_nn"
+tsan "TSan recycle suite" "$build/tests/test_recycle"
+tsan "TSan swipe suite" "$build/tests/test_swipe"
+tsan "TSan concurrent-ensemble suite" "$build/tests/test_core" \
   --gtest_filter='ParallelEnsemble.*:FwdCtxRegression.*'
-echo "TSan concurrent-ensemble suite clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_serving"
-echo "TSan serving suite (incl. fault drill) clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_consistency"
-echo "TSan consistency suite (mixed teacher/student serving) clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_multimodel"
-echo "TSan multimodel suite (mixed-variant pack purity drill) clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_cluster"
-echo "TSan cluster suite (incl. chaos kill drill) clean"
-TSAN_OPTIONS="halt_on_error=1 $TSAN_OPTIONS" \
-  timeout 600 "$build/tests/test_elastic"
-echo "TSan elastic suite (incl. park/un-park chaos soak) clean"
+tsan "TSan serving suite (incl. fault drill)" "$build/tests/test_serving"
+tsan "TSan consistency suite (mixed teacher/student serving)" \
+  "$build/tests/test_consistency"
+tsan "TSan multimodel suite (mixed-variant pack purity drill)" \
+  "$build/tests/test_multimodel"
+tsan "TSan cluster suite (incl. chaos kill drill)" "$build/tests/test_cluster"
+tsan "TSan elastic suite (incl. park/un-park chaos soak)" \
+  "$build/tests/test_elastic"
 
 cmake -B "$asan_build" -S "$repo" -DAERIS_SANITIZE=address
 cmake --build "$asan_build" -j --target test_tensor test_nn test_recycle test_swipe test_serving test_consistency test_multimodel test_cluster test_elastic
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_tensor"
-echo "ASan tensor suite (GEMM tiles, fast math, concurrent pool dispatch) clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_nn"
-echo "ASan nn suite (strided attention, RoPE table, RMSNorm row blocks) clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_recycle"
-echo "ASan recycle suite clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_swipe"
-echo "ASan swipe suite (receive paths, fault hooks) clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_serving"
-echo "ASan serving suite clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_consistency"
-echo "ASan consistency suite clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_multimodel"
-echo "ASan multimodel suite (mixed-variant pack purity drill) clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_cluster"
-echo "ASan cluster suite (incl. chaos kill drill) clean"
-ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 $ASAN_OPTIONS" \
-  timeout 600 "$asan_build/tests/test_elastic"
-echo "ASan elastic suite (incl. park/un-park chaos soak) clean"
+asan "ASan tensor suite (GEMM tiles, fast math, concurrent pool dispatch)" \
+  "$asan_build/tests/test_tensor"
+asan "ASan nn suite (strided attention, RoPE table, RMSNorm row blocks)" \
+  "$asan_build/tests/test_nn"
+asan "ASan recycle suite" "$asan_build/tests/test_recycle"
+asan "ASan swipe suite (receive paths, fault hooks)" \
+  "$asan_build/tests/test_swipe"
+asan "ASan serving suite" "$asan_build/tests/test_serving"
+asan "ASan consistency suite" "$asan_build/tests/test_consistency"
+asan "ASan multimodel suite (mixed-variant pack purity drill)" \
+  "$asan_build/tests/test_multimodel"
+asan "ASan cluster suite (incl. chaos kill drill)" \
+  "$asan_build/tests/test_cluster"
+asan "ASan elastic suite (incl. park/un-park chaos soak)" \
+  "$asan_build/tests/test_elastic"
+
+if [ -n "$failed" ]; then
+  echo "ci_sanitize: failed suites:$failed"
+  exit 1
+fi
+echo "ci_sanitize: every suite clean"

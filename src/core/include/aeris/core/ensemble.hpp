@@ -106,7 +106,8 @@ class ParallelEnsembleEngine {
   /// Call before sharing the engine across threads.
   /// AERIS_SAMPLER=consistency additionally makes the student the engine's
   /// *default* path (requests that don't name a sampler get the few-step
-  /// solve); any other value leaves the teacher ODE as the default.
+  /// solve); unset or empty leaves the teacher ODE as the default, and
+  /// any other value throws std::invalid_argument.
   void set_consistency(const AerisModel* student,
                        const ConsistencySamplerConfig& cfg) {
     student_ = student;

@@ -44,8 +44,10 @@ struct EdmSamplerConfig {
 /// follow-on to AERIS: 1-4 network evaluations per forecast step).
 enum class SamplerKind { kDpmSolver, kConsistency };
 
-/// Default sampler kind from AERIS_SAMPLER ("consistency" selects
-/// kConsistency; anything else — including unset — keeps kDpmSolver).
+/// Default sampler kind from AERIS_SAMPLER: unset or empty keeps
+/// kDpmSolver, "consistency" selects kConsistency, and any other value
+/// throws std::invalid_argument naming the variable and the value, so a
+/// typo is never silently served as the teacher.
 SamplerKind sampler_kind_from_env();
 
 /// Few-step consistency sampler configuration. A consistency model maps

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "aeris/tensor/ops.hpp"
 
@@ -45,9 +46,10 @@ constexpr std::uint64_t kConsistencyNoiseOffset = 768;
 
 SamplerKind sampler_kind_from_env() {
   const char* v = std::getenv("AERIS_SAMPLER");
-  return (v != nullptr && std::strcmp(v, "consistency") == 0)
-             ? SamplerKind::kConsistency
-             : SamplerKind::kDpmSolver;
+  if (v == nullptr || *v == '\0') return SamplerKind::kDpmSolver;
+  if (std::strcmp(v, "consistency") == 0) return SamplerKind::kConsistency;
+  throw std::invalid_argument(std::string("AERIS_SAMPLER = \"") + v +
+                              "\": must be unset, empty or \"consistency\"");
 }
 
 std::vector<float> trigflow_schedule(const TrigFlow& tf,

@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "aeris/core/ensemble.hpp"
+#include "aeris/serving/health.hpp"
 #include "aeris/serving/ledger.hpp"
 #include "aeris/serving/registry.hpp"
 #include "aeris/serving/types.hpp"
 #include "aeris/swipe/comm.hpp"
 #include "aeris/swipe/fault.hpp"
-#include "aeris/swipe/health.hpp"
 
 namespace aeris::serving {
 
@@ -56,11 +56,11 @@ struct ClusterOptions {
   /// Deterministic fault drill: armed on the *first* incarnation's world
   /// only, so the recovery incarnations run clean. Send-side events count
   /// a rank's sends (results, heartbeats, join announces); receive-side
-  /// events (FaultEvent::on_recv) count the packs and join messages it
-  /// takes. A receive-side kDelayMsg on a worker hangs it while it holds
-  /// the pack's lease; a latched receive-side kKillRank kills it on its
-  /// first pack, or on its next poll once another death poisoned the
-  /// world, as an originating failure either way.
+  /// events (FaultEvent::on_recv) count the packs and membership messages
+  /// it takes. A receive-side kDelayMsg on a worker hangs it while it
+  /// holds the pack's lease; a latched receive-side kKillRank kills it on
+  /// its first pack, or on its next receive once another death poisoned
+  /// the world, as an originating failure either way.
   std::shared_ptr<const swipe::FaultPlan> fault_plan;
 
   /// Elastic membership. When true, dead capacity is not forever: callers
@@ -202,15 +202,16 @@ class ClusterForecastServer {
 
   void manager_loop();
   void frontend_loop(swipe::World& world);
-  void worker_rank_loop(swipe::World& world, int rank);
-  /// A spare rank slot idles here until the front-end invites it on the
-  /// join lane: it announces its registry fingerprint, and on an accept
-  /// verdict becomes a worker (worker_rank_loop); a reject re-parks it.
-  void parked_rank_loop(swipe::World& world, int rank);
+  /// Every rank above the front-end runs here, from parked through
+  /// announced to serving: a parked spare (serving = false) answers an
+  /// invite with its registry fingerprint and becomes a worker on an
+  /// accept verdict (a reject re-parks it); a worker heartbeats, steps
+  /// the packs it is leased and returns their results. Shutdown ends it.
+  void rank_loop(swipe::World& world, int rank, bool serving);
   /// Checks a pack out of the ledger, encodes its slots and sends them to
   /// `worker_rank`, opening a lease. Returns false when there was nothing
   /// to dispatch.
-  bool dispatch_pack(swipe::World& world, swipe::HeartbeatMonitor& monitor,
+  bool dispatch_pack(swipe::World& world, HeartbeatMonitor& monitor,
                      int worker_rank);
 
   /// Set only by the single-engine ctor; registry_ points at it then.

@@ -4,22 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-namespace aeris::swipe {
-
-/// Well-known tags of the serving control plane on a World. The cluster
-/// forecast server speaks these message kinds between its front-end
-/// (world rank 0) and its worker ranks; work/result/heartbeat travel in
-/// the Traffic::kServing class, join/announce (the elastic-membership
-/// lane: invites, fingerprint announces, admission verdicts) in
-/// Traffic::kMembership. Tags live far above the collective tag
-/// sub-space ((group_tag << 40) | tag) of any Communicator the serving
-/// tier would build, and messages are FIFO per (src, tag), so one tag
-/// per lane suffices — headers carry pack/incarnation identity.
-inline constexpr std::uint64_t kServeWorkTag = 0x5E00000000000001ull;
-inline constexpr std::uint64_t kServeResultTag = 0x5E00000000000002ull;
-inline constexpr std::uint64_t kServeHeartbeatTag = 0x5E00000000000003ull;
-inline constexpr std::uint64_t kServeJoinTag = 0x5E00000000000004ull;
-inline constexpr std::uint64_t kServeAnnounceTag = 0x5E00000000000005ull;
+namespace aeris::serving {
 
 /// Liveness bookkeeping for a set of peer ranks: last-heartbeat ages and
 /// outstanding work-lease deadlines. The owner (one thread; typically the
@@ -33,11 +18,10 @@ inline constexpr std::uint64_t kServeAnnounceTag = 0x5E00000000000005ull;
 ///
 /// Elastic membership adds per-rank states on top of the two detectors:
 /// a rank can be *unwatched* (a parked spare slot — exempt from both
-/// detectors), *condemned* (declared dead; exempt until it re-earns
-/// trust), or *on probation* (a joiner that is watched but not yet
+/// detectors) or *on probation* (a joiner that is watched but not yet
 /// trusted: it must stay clean for a caller-chosen window before
-/// `probation_cleared` names it and `clear()` restores full membership).
-/// A probationary rank that goes silent is condemnable by the heartbeat
+/// `probation_cleared` names it and `watch()` makes it a full member).
+/// A probationary rank that goes silent is named by the heartbeat
 /// detector even when the lease detector is enabled — probationers hold
 /// no leases, and silence during vetting is disqualifying.
 class HeartbeatMonitor {
@@ -58,13 +42,15 @@ class HeartbeatMonitor {
   int ranks() const { return static_cast<int>(last_beat_.size()); }
 
   /// Removes `rank` from both detectors (a parked spare slot: it is not
-  /// expected to heartbeat and must not be condemned for silence).
+  /// expected to heartbeat and must not be declared dead for silence).
   void unwatch(int rank) { state_[static_cast<std::size_t>(rank)].watched = false; }
 
-  /// (Re-)admits `rank` to the detectors, resetting its beat clock so the
-  /// parked silence is not retroactively counted against it.
+  /// (Re-)admits `rank` as a full member: watched, off probation, its
+  /// beat clock reset so parked silence is not retroactively counted.
   void watch(int rank, Clock::time_point now) {
-    state_[static_cast<std::size_t>(rank)].watched = true;
+    auto& st = state_[static_cast<std::size_t>(rank)];
+    st.watched = true;
+    st.on_probation = false;
     last_beat_[static_cast<std::size_t>(rank)] = now;
   }
 
@@ -72,25 +58,9 @@ class HeartbeatMonitor {
     return state_[static_cast<std::size_t>(rank)].watched;
   }
 
-  /// Declares `rank` dead: unwatched, leases forgotten (the owner requeues
-  /// the leased work elsewhere), and marked condemned until a probation
-  /// window clears it.
-  void condemn(int rank, Clock::time_point /*now*/) {
-    auto& st = state_[static_cast<std::size_t>(rank)];
-    st.watched = false;
-    st.condemned = true;
-    st.on_probation = false;
-    leases_[static_cast<std::size_t>(rank)].clear();
-  }
-
-  bool condemned(int rank) const {
-    return state_[static_cast<std::size_t>(rank)].condemned;
-  }
-
-  /// Starts the probation window for a joiner (fresh capacity, or a
-  /// condemned rank re-earning trust). The rank is watched — silence gets
-  /// it condemned — but the owner must not lease it work until
-  /// `probation_cleared` names it.
+  /// Starts the probation window for a joiner. The rank is watched —
+  /// silence gets it named by `expired()` — but the owner must not lease
+  /// it work until `probation_cleared` names it.
   void begin_probation(int rank, Clock::time_point now) {
     auto& st = state_[static_cast<std::size_t>(rank)];
     st.watched = true;
@@ -119,15 +89,6 @@ class HeartbeatMonitor {
       return r;
     }
     return -1;
-  }
-
-  /// Probation served: the rank is a full member again — condemnation and
-  /// probation flags drop, the rank stays watched.
-  void clear(int rank) {
-    auto& st = state_[static_cast<std::size_t>(rank)];
-    st.condemned = false;
-    st.on_probation = false;
-    st.watched = true;
   }
 
   /// A heartbeat (or any message — results count as liveness too) arrived
@@ -162,12 +123,12 @@ class HeartbeatMonitor {
   /// heartbeat is older than heartbeat_timeout_ms. Returns -1 when every
   /// rank is healthy. A rank with an open lease is held to *both* clocks:
   /// a healthy-but-slow rank keeps heartbeating while it computes, so only
-  /// a rank that is silent AND overdue is condemned by the lease detector
+  /// a rank that is silent AND overdue is named by the lease detector
   /// when heartbeats are enabled.
   int expired(Clock::time_point now) const {
     for (int r = 0; r < ranks(); ++r) {
       const auto& st = state_[static_cast<std::size_t>(r)];
-      if (!st.watched) continue;  // parked spare or already condemned
+      if (!st.watched) continue;  // parked spare
       const double beat_age_ms = ms(last_beat_[static_cast<std::size_t>(r)],
                                     now);
       const bool beat_stale =
@@ -196,7 +157,6 @@ class HeartbeatMonitor {
 
   struct RankState {
     bool watched = true;
-    bool condemned = false;
     bool on_probation = false;
     Clock::time_point probation_start{};
   };
@@ -212,4 +172,4 @@ class HeartbeatMonitor {
   std::vector<RankState> state_;
 };
 
-}  // namespace aeris::swipe
+}  // namespace aeris::serving

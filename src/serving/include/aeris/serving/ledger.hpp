@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,18 @@ using Clock = std::chrono::steady_clock;
 
 inline double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/// Option invariant check shared by ServerOptions and ClusterOptions:
+/// throws std::invalid_argument "<field> = <value>: <rule>" when `ok` is
+/// false, instead of clamping the value into one the caller did not ask
+/// for.
+inline void require_option(bool ok, const std::string& field,
+                           long long value, const std::string& rule) {
+  if (!ok) {
+    throw std::invalid_argument(field + " = " + std::to_string(value) + ": " +
+                                rule);
+  }
 }
 
 /// One admitted request. All fields are guarded by RequestLedger::mu_

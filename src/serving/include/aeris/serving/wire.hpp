@@ -13,14 +13,34 @@ namespace aeris::serving::wire {
 /// travel as the World's native `std::vector<float>` payloads; integer
 /// header fields are bit-cast into float lanes (memcpy, never a
 /// value-preserving cast — a u64 pack id must survive the trip exactly).
-/// Packs and results are FIFO per (src, tag), and the pack id rides in
-/// every header, so one tag per direction is enough; the front-end's lease
-/// table keys on the pack id to match results (and losses) to checked-out
-/// work.
+///
+/// The plane has one lane per direction: every rank holds one receive on
+/// kDownTag (front-end -> rank) and the front-end one per rank on kUpTag
+/// (rank -> front-end). Every message opens with a Kind lane saying what
+/// follows; messages are FIFO per (src, tag), and pack ids and
+/// incarnations ride in the headers. The tags live far above the
+/// collective tag sub-space ((group_tag << 40) | tag) of any Communicator.
+inline constexpr std::uint64_t kDownTag = 0x5E00000000000001ull;
+inline constexpr std::uint64_t kUpTag = 0x5E00000000000002ull;
 
-/// A decoded work pack (front-end -> worker). `shutdown` is the empty pack
-/// (slot count 0): the worker loop exits cleanly instead of waiting for
-/// work that will never come.
+/// The first lane of every serving message. Packs, shutdowns, results and
+/// heartbeats travel in Traffic::kServing; invites, announces and verdicts
+/// (the elastic-membership handshake) in Traffic::kMembership.
+enum class Kind : std::uint32_t {
+  kPack = 0,       ///< front-end -> worker: member slots to step
+  kShutdown = 1,   ///< front-end -> any rank: the incarnation is over
+  kResult = 2,     ///< worker -> front-end: a pack's next states or error
+  kHeartbeat = 3,  ///< worker -> front-end: liveness, no body
+  kInvite = 4,     ///< front-end -> spare: wake up and announce yourself
+  kAnnounce = 5,   ///< spare -> front-end: claimed incarnation/fingerprint
+  kVerdict = 6,    ///< front-end -> spare: admission decision
+};
+
+/// The kind lane of `payload`; throws a "wire: ..." std::runtime_error on
+/// an empty payload or a kind this format does not define.
+Kind kind_of(const std::vector<float>& payload);
+
+/// A decoded work pack (front-end -> worker).
 struct PackMsg {
   std::uint64_t pack_id = 0;
   /// Registry index of the variant this pack runs on: worker ranks resolve
@@ -29,7 +49,6 @@ struct PackMsg {
   std::uint32_t model = 0;
   core::SamplerKind kind = core::SamplerKind::kDpmSolver;
   int solver_steps_override = 0;
-  bool shutdown = false;
   std::vector<core::MemberKey> noise;  ///< per slot
   std::vector<Tensor> prev;            ///< per slot, [H, W, V]
   std::vector<Tensor> forcings;        ///< per slot, [H, W, F]
@@ -56,10 +75,13 @@ std::vector<float> encode_pack(std::uint64_t pack_id, std::uint32_t model,
                                std::int64_t h, std::int64_t w, std::int64_t v,
                                std::int64_t f);
 
-/// The shutdown pack (slot count 0).
-std::vector<float> encode_shutdown();
-
+/// Decodes a kPack message. Any other kind, a sampler lane naming no
+/// core::SamplerKind, a solver-step override past INT_MAX, or a truncated
+/// or forged shape throws a "wire: ..." std::runtime_error.
 PackMsg decode_pack(const std::vector<float>& payload);
+
+/// The kShutdown message (no body).
+std::vector<float> encode_shutdown();
 
 std::vector<float> encode_result(std::uint64_t pack_id,
                                  std::span<const Tensor> next);
@@ -69,40 +91,28 @@ std::vector<float> encode_result_error(std::uint64_t pack_id,
 
 ResultMsg decode_result(const std::vector<float>& payload);
 
-/// Message kinds of the elastic-membership join lane (front-end <-> parked
-/// spare ranks, kServeJoinTag / kServeAnnounceTag in Traffic::kMembership).
-enum class JoinKind : std::uint32_t {
-  kInvite = 0,    ///< front-end -> spare: wake up and announce yourself
-  kVerdict = 1,   ///< front-end -> spare: admission decision
-  kShutdown = 2,  ///< front-end -> spare: the incarnation is over, exit
-};
+/// The kHeartbeat message (no body).
+std::vector<float> encode_heartbeat();
 
-/// A decoded join-lane message. An invite carries the incarnation the
+/// A decoded membership message: an invite carries the incarnation the
 /// joiner would serve under and the fingerprint the offered capacity
-/// claims (0 = compute from the local registry replica); a verdict echoes
-/// the incarnation and carries the admission decision.
+/// claims (0 = compute from the local registry replica); an announce
+/// echoes the incarnation with the fingerprint the joiner serves; a
+/// verdict echoes the incarnation and carries the admission decision.
 struct JoinMsg {
-  JoinKind kind = JoinKind::kShutdown;
+  Kind kind = Kind::kInvite;
   std::uint64_t incarnation = 0;
   std::uint64_t fingerprint = 0;
   bool accept = false;
 };
 
-/// A decoded announce (spare -> front-end): the joiner's claimed
-/// incarnation and registry fingerprint, validated before any lease.
-struct AnnounceMsg {
-  std::uint64_t incarnation = 0;
-  std::uint64_t fingerprint = 0;
-};
-
-std::vector<float> encode_join_invite(std::uint64_t incarnation,
-                                      std::uint64_t fingerprint);
-std::vector<float> encode_join_verdict(std::uint64_t incarnation, bool accept);
-std::vector<float> encode_join_shutdown();
-JoinMsg decode_join(const std::vector<float>& payload);
-
+std::vector<float> encode_invite(std::uint64_t incarnation,
+                                 std::uint64_t fingerprint);
 std::vector<float> encode_announce(std::uint64_t incarnation,
                                    std::uint64_t fingerprint);
-AnnounceMsg decode_announce(const std::vector<float>& payload);
+std::vector<float> encode_verdict(std::uint64_t incarnation, bool accept);
+/// Decodes a kInvite, kAnnounce or kVerdict message; any other kind
+/// throws a "wire: ..." std::runtime_error.
+JoinMsg decode_join(const std::vector<float>& payload);
 
 }  // namespace aeris::serving::wire

@@ -18,6 +18,10 @@ using Clock = detail::Clock;
 using core::env_number;
 using detail::ms_between;
 
+/// How long an idle front-end waits for its mailbox before it looks at the
+/// ledger (admissions), probation windows and the liveness clocks again.
+constexpr auto kLedgerTick = std::chrono::microseconds(200);
+
 /// `o` with its invariants checked and the max_ranks sentinel resolved. A
 /// broken invariant throws std::invalid_argument naming the field and the
 /// value instead of being clamped into something the caller did not ask
@@ -25,10 +29,8 @@ using detail::ms_between;
 ClusterOptions checked(ClusterOptions o) {
   const auto require = [](bool ok, const char* field, long long value,
                           const std::string& rule) {
-    if (!ok) {
-      throw std::invalid_argument("ClusterOptions::" + std::string(field) +
-                                  " = " + std::to_string(value) + ": " + rule);
-    }
+    detail::require_option(ok, std::string("ClusterOptions::") + field,
+                           value, rule);
   };
   require(o.ranks >= 2, "ranks", o.ranks,
           "must be >= 2 (the front-end and one worker)");
@@ -147,8 +149,8 @@ void ClusterForecastServer::manager_loop() {
     }
 
     // With elasticity on, every incarnation's world is built at full
-    // max_ranks width: ranks beyond the active set park in an idle join
-    // loop and cost nothing until capacity is offered.
+    // max_ranks width: ranks beyond the active set start parked in
+    // rank_loop and cost nothing until capacity is offered.
     const int slots = opts_.rejoin ? max_workers_ : workers;
     swipe::World world(1 + slots);
     if (first_incarnation && opts_.fault_plan != nullptr) {
@@ -167,10 +169,8 @@ void ClusterForecastServer::manager_loop() {
       world.run([&](int rank) {
         if (rank == 0) {
           frontend_loop(world);
-        } else if (rank <= workers) {
-          worker_rank_loop(world, rank);
         } else {
-          parked_rank_loop(world, rank);
+          rank_loop(world, rank, /*serving=*/rank <= workers);
         }
       });
     } catch (...) {
@@ -237,7 +237,7 @@ void ClusterForecastServer::manager_loop() {
 }
 
 bool ClusterForecastServer::dispatch_pack(swipe::World& world,
-                                          swipe::HeartbeatMonitor& monitor,
+                                          HeartbeatMonitor& monitor,
                                           int worker_rank) {
   Pack pack = ledger_.checkout(ledger_.options().batch);
   if (pack.items.empty()) return false;
@@ -251,25 +251,22 @@ bool ClusterForecastServer::dispatch_pack(swipe::World& world,
   // throws, and a lease recorded first is requeued by the manager along
   // with the rest of the incarnation's outstanding work — items checked
   // out of the ledger are never lost in the unwinding.
-  monitor.open_lease(worker_rank - 1, pack_id,
-                     swipe::HeartbeatMonitor::Clock::now());
+  monitor.open_lease(worker_rank - 1, pack_id, Clock::now());
   outstanding_.emplace(pack_id, Lease{std::move(pack.items), Clock::now()});
-  world.send(0, worker_rank, swipe::kServeWorkTag, std::move(payload),
+  world.send(0, worker_rank, wire::kDownTag, std::move(payload),
              swipe::Traffic::kServing);
   return true;
 }
 
 void ClusterForecastServer::frontend_loop(swipe::World& world) {
   const int nslots = world.size() - 1;  // active workers + parked spares
-  swipe::HeartbeatMonitor monitor(nslots, opts_.heartbeat_timeout_ms,
-                                  opts_.lease_timeout_ms,
-                                  swipe::HeartbeatMonitor::Clock::now());
+  HeartbeatMonitor monitor(nslots, opts_.heartbeat_timeout_ms,
+                           opts_.lease_timeout_ms, Clock::now());
   // The manager seeded roster_.leasable with the incarnation's active
   // workers; everything above them is a parked spare, exempt from the
   // liveness detectors until it joins.
   std::deque<int> spares;
-  std::set<int> joining;    // invited, awaiting a fingerprint announce
-  std::set<int> probation;  // admitted, awaiting a clean probation window
+  std::set<int> joining;  // invited, awaiting a fingerprint announce
   for (int r = 1; r <= nslots; ++r) {
     if (roster_.leasable.count(r) == 0) {
       monitor.unwatch(r - 1);
@@ -279,28 +276,16 @@ void ClusterForecastServer::frontend_loop(swipe::World& world) {
   const std::uint64_t inc = incarnation_.load(std::memory_order_relaxed);
   const std::uint64_t local_fp = opts_.rejoin ? registry_.fingerprint() : 0;
 
-  std::vector<swipe::PendingMsg> result_rx(static_cast<std::size_t>(nslots));
-  std::vector<swipe::PendingMsg> beat_rx(static_cast<std::size_t>(nslots));
-  std::vector<swipe::PendingMsg> announce_rx(
-      static_cast<std::size_t>(nslots));
+  std::vector<swipe::PendingMsg> up(static_cast<std::size_t>(nslots));
   for (int r = 1; r <= nslots; ++r) {
-    result_rx[static_cast<std::size_t>(r - 1)] =
-        world.irecv(0, r, swipe::kServeResultTag);
-    beat_rx[static_cast<std::size_t>(r - 1)] =
-        world.irecv(0, r, swipe::kServeHeartbeatTag);
-    announce_rx[static_cast<std::size_t>(r - 1)] =
-        world.irecv(0, r, swipe::kServeAnnounceTag);
+    up[static_cast<std::size_t>(r - 1)] = world.irecv(0, r, wire::kUpTag);
   }
 
   // A joiner becomes leasable capacity: probation served (or none
-  // configured), condemnation cleared, counted alive — and if that lifts
-  // a below-quorum park, admissions resume with the outage's typed drains
-  // left untouched.
+  // configured), counted alive — and if that lifts a below-quorum park,
+  // admissions resume with the outage's typed drains left untouched.
   const auto promote = [&](int r) {
-    const auto now = swipe::HeartbeatMonitor::Clock::now();
-    monitor.clear(r - 1);
-    monitor.watch(r - 1, now);
-    probation.erase(r);
+    monitor.watch(r - 1, Clock::now());
     roster_.pending.erase(r);
     roster_.leasable.insert(r);
     alive_workers_.fetch_add(1, std::memory_order_relaxed);
@@ -319,88 +304,72 @@ void ClusterForecastServer::frontend_loop(swipe::World& world) {
                                    "serving world poisoned");
     }
     if (ledger_.stopping()) {
+      // Workers, probationers, spares and joiners mid-handshake all leave
+      // their rank loop on the same message.
       for (int r = 1; r <= nslots; ++r) {
-        if (roster_.leasable.count(r) != 0 || probation.count(r) != 0) {
-          world.send(0, r, swipe::kServeWorkTag, wire::encode_shutdown(),
-                     swipe::Traffic::kServing);
-        } else {
-          // Spares (and mid-handshake joiners, whose verdict will never
-          // come) exit through the join lane.
-          world.send(0, r, swipe::kServeJoinTag, wire::encode_join_shutdown(),
-                     swipe::Traffic::kMembership);
-        }
+        world.send(0, r, wire::kDownTag, wire::encode_shutdown(),
+                   swipe::Traffic::kServing);
       }
       return;
     }
 
     bool progressed = false;
 
-    // Drain results. A result is liveness too: it closes the lease and
-    // refreshes the sender's heartbeat clock.
+    // Drain every rank's up-lane.
     for (int r = 1; r <= nslots; ++r) {
-      swipe::PendingMsg& rx = result_rx[static_cast<std::size_t>(r - 1)];
+      swipe::PendingMsg& rx = up[static_cast<std::size_t>(r - 1)];
       while (rx.test()) {
         const std::vector<float> payload = rx.wait();
-        rx = world.irecv(0, r, swipe::kServeResultTag);
-        wire::ResultMsg res = wire::decode_result(payload);
-        const auto now = swipe::HeartbeatMonitor::Clock::now();
-        monitor.beat(r - 1, now);
-        monitor.close_lease(r - 1, res.pack_id);
-        const auto it = outstanding_.find(res.pack_id);
-        if (it == outstanding_.end()) continue;  // stale/duplicate pack id
-        Lease lease = std::move(it->second);
-        outstanding_.erase(it);
-        PackOutcome out;
-        out.pack_ms = ms_between(lease.sent, Clock::now());
-        if (res.ok) {
-          out.next = std::move(res.next);
-        } else {
-          out.solve_error = std::make_exception_ptr(
-              std::runtime_error(res.error));
+        rx = world.irecv(0, r, wire::kUpTag);
+        switch (wire::kind_of(payload)) {
+          case wire::Kind::kHeartbeat:
+            monitor.beat(r - 1, Clock::now());
+            break;
+          case wire::Kind::kAnnounce: {
+            // Validate the joiner's claimed registry fingerprint against
+            // the frozen registry before it is ever leased work.
+            if (joining.erase(r) == 0) break;  // stale announce
+            const wire::JoinMsg ann = wire::decode_join(payload);
+            const bool ok =
+                ann.fingerprint == local_fp && ann.incarnation == inc;
+            world.send(0, r, wire::kDownTag, wire::encode_verdict(inc, ok),
+                       swipe::Traffic::kMembership);
+            if (!ok) {
+              // A replica that would route or serve differently must
+              // never hold a lease — refuse, count, and re-park the slot.
+              ledger_.note_fingerprint_reject();
+              roster_.pending.erase(r);
+              spares.push_back(r);
+            } else if (opts_.probation_ms > 0.0) {
+              monitor.begin_probation(r - 1, Clock::now());
+            } else {
+              promote(r);
+            }
+            progressed = true;
+            break;
+          }
+          default: {
+            // A result is liveness too: it closes the lease and refreshes
+            // the sender's heartbeat clock.
+            wire::ResultMsg res = wire::decode_result(payload);
+            monitor.beat(r - 1, Clock::now());
+            monitor.close_lease(r - 1, res.pack_id);
+            const auto it = outstanding_.find(res.pack_id);
+            if (it == outstanding_.end()) break;  // stale/duplicate pack id
+            Lease lease = std::move(it->second);
+            outstanding_.erase(it);
+            PackOutcome out;
+            out.pack_ms = ms_between(lease.sent, Clock::now());
+            if (res.ok) {
+              out.next = std::move(res.next);
+            } else {
+              out.solve_error = std::make_exception_ptr(
+                  std::runtime_error(res.error));
+            }
+            ledger_.commit_pack(std::move(lease.items), std::move(out));
+            progressed = true;
+          }
         }
-        ledger_.commit_pack(std::move(lease.items), std::move(out));
-        progressed = true;
-      }
-    }
-
-    // Drain heartbeats.
-    for (int r = 1; r <= nslots; ++r) {
-      swipe::PendingMsg& rx = beat_rx[static_cast<std::size_t>(r - 1)];
-      while (rx.test()) {
-        (void)rx.wait();
-        rx = world.irecv(0, r, swipe::kServeHeartbeatTag);
-        monitor.beat(r - 1, swipe::HeartbeatMonitor::Clock::now());
-      }
-    }
-
-    // Drain announces: validate the joiner's claimed registry fingerprint
-    // against the frozen registry before it is ever leased work.
-    for (int r = 1; r <= nslots; ++r) {
-      swipe::PendingMsg& rx = announce_rx[static_cast<std::size_t>(r - 1)];
-      while (rx.test()) {
-        const std::vector<float> payload = rx.wait();
-        rx = world.irecv(0, r, swipe::kServeAnnounceTag);
-        if (joining.count(r) == 0) continue;  // stale announce
-        joining.erase(r);
-        const wire::AnnounceMsg ann = wire::decode_announce(payload);
-        const bool ok = ann.fingerprint == local_fp && ann.incarnation == inc;
-        world.send(0, r, swipe::kServeJoinTag,
-                   wire::encode_join_verdict(inc, ok),
-                   swipe::Traffic::kMembership);
-        if (!ok) {
-          // A replica that would route or serve differently must never
-          // hold a lease — refuse, count, and re-park the slot.
-          ledger_.note_fingerprint_reject();
-          roster_.pending.erase(r);
-          spares.push_back(r);
-        } else if (opts_.probation_ms > 0.0) {
-          monitor.begin_probation(
-              r - 1, swipe::HeartbeatMonitor::Clock::now());
-          probation.insert(r);
-        } else {
-          promote(r);
-        }
-        progressed = true;
       }
     }
 
@@ -418,35 +387,28 @@ void ClusterForecastServer::frontend_loop(swipe::World& world) {
       spares.pop_front();
       joining.insert(s);
       roster_.pending[s] = fp;
-      world.send(0, s, swipe::kServeJoinTag,
-                 wire::encode_join_invite(inc, fp),
+      world.send(0, s, wire::kDownTag, wire::encode_invite(inc, fp),
                  swipe::Traffic::kMembership);
       progressed = true;
     }
 
     // Promote probationers whose window elapsed with clean heartbeats.
-    if (!probation.empty()) {
-      int p = -1;
-      while ((p = monitor.probation_cleared(
-                  swipe::HeartbeatMonitor::Clock::now(),
-                  opts_.probation_ms)) >= 0) {
-        promote(p + 1);
-        progressed = true;
-      }
+    for (int p = -1; (p = monitor.probation_cleared(
+                          Clock::now(), opts_.probation_ms)) >= 0;) {
+      promote(p + 1);
+      progressed = true;
     }
 
     // Liveness: declare a silent, overdue rank dead on its behalf. The
     // poison unwinds every rank; the manager reads suspect_dead_ because a
     // hang produces no originating failure record of its own.
-    const int expired =
-        monitor.expired(swipe::HeartbeatMonitor::Clock::now());
+    const int expired = monitor.expired(Clock::now());
     if (expired >= 0) {
       const int wr = expired + 1;
       const std::string why =
           "worker rank " + std::to_string(wr) +
           " declared dead by the serving front-end (lease/heartbeat "
           "timeout)";
-      monitor.condemn(expired, swipe::HeartbeatMonitor::Clock::now());
       suspect_dead_.store(wr, std::memory_order_relaxed);
       world.poison(wr, why);
       throw swipe::PeerFailedError(wr, why);
@@ -470,36 +432,41 @@ void ClusterForecastServer::frontend_loop(swipe::World& world) {
       progressed = true;
     }
 
-    if (!progressed) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
+    // Idle: a message wakes the front-end at once; admissions, probation
+    // windows and the liveness clocks are looked at on the next tick.
+    if (!progressed) world.wait_any(0, Clock::now() + kLedgerTick);
   }
 }
 
-void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank) {
+void ClusterForecastServer::rank_loop(swipe::World& world, int rank,
+                                      bool serving) {
   // Rank threads share one process (and its kernel thread pool): each rank
   // runs its packs' kernels inline, which is bitwise-identical.
   SerialRegionGuard guard;
 
-  swipe::PendingMsg work_rx = world.irecv(rank, 0, swipe::kServeWorkTag);
-  auto last_beat = Clock::now();
+  const auto beat_every = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(opts_.heartbeat_interval_ms));
+  auto next_beat = Clock::now() + beat_every;
+  swipe::PendingMsg down = world.irecv(rank, 0, wire::kDownTag);
 
   for (;;) {
-    // No explicit poison check here: a queued pack survives poisoning and
-    // test() still delivers it (the mailbox contract), so a dying worker
-    // drains deliverable work instead of dropping it. An idle
-    // worker exits via test() throwing PeerFailedError once its queue is
-    // empty and the world is poisoned; a heartbeat or result send into a
-    // poisoned world throws the same way.
-    if (opts_.heartbeat_interval_ms > 0.0 &&
-        ms_between(last_beat, Clock::now()) >= opts_.heartbeat_interval_ms) {
-      world.send(rank, 0, swipe::kServeHeartbeatTag, {},
+    // Only a serving rank (worker or probationer) heartbeats; a parked
+    // spare is unwatched.
+    const bool beating = serving && opts_.heartbeat_interval_ms > 0.0;
+    if (beating && Clock::now() >= next_beat) {
+      world.send(rank, 0, wire::kUpTag, wire::encode_heartbeat(),
                  swipe::Traffic::kServing);
-      last_beat = Clock::now();
+      next_beat = Clock::now() + beat_every;
     }
-    bool has_work = false;
+    // No explicit poison check here: a queued message survives poisoning
+    // and test() still delivers it (the mailbox contract), so a dying
+    // worker drains deliverable work instead of dropping it. An idle rank
+    // exits via test() throwing PeerFailedError once its queue is empty
+    // and the world is poisoned; a heartbeat or result send into a
+    // poisoned world throws the same way.
+    bool has_msg = false;
     try {
-      has_work = work_rx.test();
+      has_msg = down.test();
     } catch (const swipe::InjectedFault&) {
       throw;  // a receive-side FaultPlan kill: this rank's own death
     } catch (const swipe::PeerFailedError&) {
@@ -508,89 +475,70 @@ void ClusterForecastServer::worker_rank_loop(swipe::World& world, int rank) {
       // originating InjectedFault; an unlatched rank's send throws the same
       // PeerFailedError this test() just did, so classification is
       // unchanged for everyone else.
-      if (opts_.heartbeat_interval_ms > 0.0) {
-        world.send(rank, 0, swipe::kServeHeartbeatTag, {},
+      if (beating) {
+        world.send(rank, 0, wire::kUpTag, wire::encode_heartbeat(),
                    swipe::Traffic::kServing);
       }
       throw;
     }
-    if (!has_work) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    if (!has_msg) {
+      world.wait_any(rank, beating ? next_beat : Clock::time_point::max());
       continue;
     }
-    const std::vector<float> payload = work_rx.wait();
-    work_rx = world.irecv(rank, 0, swipe::kServeWorkTag);
-    wire::PackMsg pack = wire::decode_pack(payload);
-    if (pack.shutdown) return;
+    const std::vector<float> payload = down.wait();
+    down = world.irecv(rank, 0, wire::kDownTag);
 
-    std::vector<core::MemberSlot> slots(pack.prev.size());
-    for (std::size_t i = 0; i < pack.prev.size(); ++i) {
-      slots[i].prev = &pack.prev[i];
-      slots[i].forcings = &pack.forcings[i];
-      slots[i].noise = pack.noise[i];
-    }
-    std::vector<float> reply;
-    try {
-      // Resolve the pack's engine from this rank's registry replica; an
-      // out-of-range model id (a front-end/worker registry mismatch)
-      // becomes a typed error reply, never garbage reads.
-      const core::ParallelEnsembleEngine& eng =
-          *registry_.at(static_cast<std::int64_t>(pack.model)).engine;
-      const std::vector<Tensor> next = eng.step_pack(
-          std::span<const core::MemberSlot>(slots),
-          pack.solver_steps_override, pack.kind);
-      reply = wire::encode_result(pack.pack_id,
-                                  std::span<const Tensor>(next));
-    } catch (const swipe::PeerFailedError&) {
-      throw;  // the world is dying; don't mask it as a solve error
-    } catch (const std::exception& e) {
-      reply = wire::encode_result_error(pack.pack_id, e.what());
-    }
-    world.send(rank, 0, swipe::kServeResultTag, std::move(reply),
-               swipe::Traffic::kServing);
-  }
-}
-
-void ClusterForecastServer::parked_rank_loop(swipe::World& world, int rank) {
-  // A parked spare idles on the membership lane until the front-end
-  // invites it: invite -> announce fingerprint -> verdict. Accepted ranks
-  // become workers; rejected ranks park again and wait for another invite.
-  swipe::PendingMsg join_rx = world.irecv(rank, 0, swipe::kServeJoinTag);
-  for (;;) {
-    if (!join_rx.test()) {
-      // test() throws PeerFailedError once the world is poisoned and the
-      // queue is empty, so parked ranks unwind as secondary casualties.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      continue;
-    }
-    const std::vector<float> payload = join_rx.wait();
-    join_rx = world.irecv(rank, 0, swipe::kServeJoinTag);
-    const wire::JoinMsg msg = wire::decode_join(payload);
-    if (msg.kind == wire::JoinKind::kShutdown) return;
-    if (msg.kind != wire::JoinKind::kInvite) continue;
-    // Fingerprint 0 means "announce the local replica's own digest" — the
-    // in-process replica always matches. Tests and drills pass a skewed
-    // value through offer_worker to exercise the reject path.
-    const std::uint64_t fp =
-        msg.fingerprint != 0 ? msg.fingerprint : registry_.fingerprint();
-    world.send(rank, 0, swipe::kServeAnnounceTag,
-               wire::encode_announce(msg.incarnation, fp),
-               swipe::Traffic::kMembership);
-    for (bool deciding = true; deciding;) {
-      if (!join_rx.test()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      const std::vector<float> vp = join_rx.wait();
-      join_rx = world.irecv(rank, 0, swipe::kServeJoinTag);
-      const wire::JoinMsg v = wire::decode_join(vp);
-      if (v.kind == wire::JoinKind::kShutdown) return;
-      if (v.kind != wire::JoinKind::kVerdict) continue;
-      if (v.accept) {
-        worker_rank_loop(world, rank);
+    switch (wire::kind_of(payload)) {
+      case wire::Kind::kShutdown:
         return;
+      case wire::Kind::kInvite: {
+        // A parked spare announces the registry fingerprint it serves.
+        // Fingerprint 0 means "announce the local replica's own digest" —
+        // the in-process replica always matches. Tests and drills pass a
+        // skewed value through offer_worker to exercise the reject path.
+        const wire::JoinMsg invite = wire::decode_join(payload);
+        const std::uint64_t fp = invite.fingerprint != 0
+                                     ? invite.fingerprint
+                                     : registry_.fingerprint();
+        world.send(rank, 0, wire::kUpTag,
+                   wire::encode_announce(invite.incarnation, fp),
+                   swipe::Traffic::kMembership);
+        break;
       }
-      deciding = false;  // rejected: back to parking
+      case wire::Kind::kVerdict:
+        // Accepted: serving from here on. Rejected: parked again until
+        // the next invite.
+        serving = wire::decode_join(payload).accept;
+        next_beat = Clock::now() + beat_every;
+        break;
+      default: {
+        const wire::PackMsg pack = wire::decode_pack(payload);
+        std::vector<core::MemberSlot> slots(pack.prev.size());
+        for (std::size_t i = 0; i < pack.prev.size(); ++i) {
+          slots[i].prev = &pack.prev[i];
+          slots[i].forcings = &pack.forcings[i];
+          slots[i].noise = pack.noise[i];
+        }
+        std::vector<float> reply;
+        try {
+          // Resolve the pack's engine from this rank's registry replica;
+          // an out-of-range model id (a front-end/worker registry
+          // mismatch) becomes a typed error reply, never garbage reads.
+          const core::ParallelEnsembleEngine& eng =
+              *registry_.at(static_cast<std::int64_t>(pack.model)).engine;
+          const std::vector<Tensor> next = eng.step_pack(
+              std::span<const core::MemberSlot>(slots),
+              pack.solver_steps_override, pack.kind);
+          reply = wire::encode_result(pack.pack_id,
+                                      std::span<const Tensor>(next));
+        } catch (const swipe::PeerFailedError&) {
+          throw;  // the world is dying; don't mask it as a solve error
+        } catch (const std::exception& e) {
+          reply = wire::encode_result_error(pack.pack_id, e.what());
+        }
+        world.send(rank, 0, wire::kUpTag, std::move(reply),
+                   swipe::Traffic::kServing);
+      }
     }
   }
 }

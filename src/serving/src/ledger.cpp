@@ -94,10 +94,16 @@ RequestLedger::RequestLedger(const ModelRegistry& registry,
     throw std::invalid_argument(
         "RequestLedger: registry must hold at least one variant");
   }
-  opts_.queue_capacity = std::max<std::int64_t>(1, opts_.queue_capacity);
-  opts_.batch = std::max<std::int64_t>(1, opts_.batch);
-  opts_.workers = std::max(1, opts_.workers);
-  opts_.max_step_retries = std::max(0, opts_.max_step_retries);
+  detail::require_option(opts_.queue_capacity >= 1,
+                         "ServerOptions::queue_capacity",
+                         opts_.queue_capacity, "must be >= 1");
+  detail::require_option(opts_.batch >= 1, "ServerOptions::batch",
+                         opts_.batch, "must be >= 1");
+  detail::require_option(opts_.workers >= 1, "ServerOptions::workers",
+                         opts_.workers, "must be >= 1");
+  detail::require_option(opts_.max_step_retries >= 0,
+                         "ServerOptions::max_step_retries",
+                         opts_.max_step_retries, "must be >= 0");
   // Per-variant counters exist from construction (zeros until traffic).
   for (std::int64_t i = 0; i < registry_.size(); ++i) {
     stats_.per_model[registry_.at(i).name];

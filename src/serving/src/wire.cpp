@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace aeris::serving::wire {
 namespace {
@@ -91,7 +92,48 @@ std::string get_string(const std::vector<float>& in, std::size_t& pos) {
   return s;
 }
 
+// Opens a message with its kind lane.
+std::vector<float> open_message(Kind kind, std::size_t lanes) {
+  std::vector<float> out;
+  out.reserve(lanes);
+  put_u32(out, static_cast<std::uint32_t>(kind));
+  return out;
+}
+
+// Checks that the kind lane is `want`; returns the position past it.
+std::size_t expect_kind(const std::vector<float>& in, Kind want,
+                        const char* what) {
+  const Kind got = kind_of(in);
+  if (got != want) {
+    throw std::runtime_error(
+        std::string("wire: expected ") + what + ", got message kind " +
+        std::to_string(static_cast<std::uint32_t>(got)));
+  }
+  return 1;
+}
+
+// Invite, announce and verdict share one layout: kind, incarnation,
+// fingerprint, accept.
+std::vector<float> encode_join(Kind kind, std::uint64_t incarnation,
+                               std::uint64_t fingerprint, bool accept) {
+  std::vector<float> out = open_message(kind, 6);
+  put_u64(out, incarnation);
+  put_u64(out, fingerprint);
+  put_u32(out, accept ? 1u : 0u);
+  return out;
+}
+
 }  // namespace
+
+Kind kind_of(const std::vector<float>& payload) {
+  std::size_t pos = 0;
+  const std::uint32_t kind = get_u32(payload, pos);
+  if (kind > static_cast<std::uint32_t>(Kind::kVerdict)) {
+    throw std::runtime_error("wire: unknown message kind " +
+                             std::to_string(kind));
+  }
+  return static_cast<Kind>(kind);
+}
 
 std::vector<float> encode_pack(std::uint64_t pack_id, std::uint32_t model,
                                core::SamplerKind kind,
@@ -99,10 +141,10 @@ std::vector<float> encode_pack(std::uint64_t pack_id, std::uint32_t model,
                                std::span<const core::MemberSlot> slots,
                                std::int64_t h, std::int64_t w, std::int64_t v,
                                std::int64_t f) {
-  std::vector<float> out;
   const std::size_t per_slot =
       4 + static_cast<std::size_t>(h * w * (v + f));
-  out.reserve(10 + slots.size() * per_slot);
+  std::vector<float> out =
+      open_message(Kind::kPack, 11 + slots.size() * per_slot);
   put_u64(out, pack_id);
   put_u32(out, model);
   put_u32(out, static_cast<std::uint32_t>(kind));
@@ -121,26 +163,28 @@ std::vector<float> encode_pack(std::uint64_t pack_id, std::uint32_t model,
   return out;
 }
 
-std::vector<float> encode_shutdown() {
-  return encode_pack(0, 0, core::SamplerKind::kDpmSolver, 0, {}, 0, 0, 0, 0);
-}
-
 PackMsg decode_pack(const std::vector<float>& payload) {
-  std::size_t pos = 0;
+  std::size_t pos = expect_kind(payload, Kind::kPack, "a pack");
   PackMsg msg;
   msg.pack_id = get_u64(payload, pos);
   msg.model = get_u32(payload, pos);
-  msg.kind = static_cast<core::SamplerKind>(get_u32(payload, pos));
-  msg.solver_steps_override = static_cast<int>(get_u32(payload, pos));
+  const std::uint32_t sampler = get_u32(payload, pos);
+  if (sampler > static_cast<std::uint32_t>(core::SamplerKind::kConsistency)) {
+    throw std::runtime_error("wire: unknown sampler kind " +
+                             std::to_string(sampler));
+  }
+  msg.kind = static_cast<core::SamplerKind>(sampler);
+  const std::uint32_t steps = get_u32(payload, pos);
+  if (steps > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
+    throw std::runtime_error("wire: solver-step override " +
+                             std::to_string(steps) + " exceeds INT_MAX");
+  }
+  msg.solver_steps_override = static_cast<int>(steps);
   const std::uint32_t n_slots = get_u32(payload, pos);
   const std::uint32_t h = get_u32(payload, pos);
   const std::uint32_t w = get_u32(payload, pos);
   const std::uint32_t v = get_u32(payload, pos);
   const std::uint32_t f = get_u32(payload, pos);
-  if (n_slots == 0) {
-    msg.shutdown = true;
-    return msg;
-  }
   // A slot is at least its two u64 noise-key fields.
   const std::size_t fit =
       std::min<std::size_t>(n_slots, lanes_left(payload, pos) / 4);
@@ -158,14 +202,17 @@ PackMsg decode_pack(const std::vector<float>& payload) {
   return msg;
 }
 
+std::vector<float> encode_shutdown() {
+  return open_message(Kind::kShutdown, 1);
+}
+
 std::vector<float> encode_result(std::uint64_t pack_id,
                                  std::span<const Tensor> next) {
-  std::vector<float> out;
-  std::size_t total = 4;
+  std::size_t total = 5;
   for (const Tensor& t : next) {
     total += 3 + static_cast<std::size_t>(t.numel());
   }
-  out.reserve(total);
+  std::vector<float> out = open_message(Kind::kResult, total);
   put_u64(out, pack_id);
   put_u32(out, 1);  // ok
   put_u32(out, static_cast<std::uint32_t>(next.size()));
@@ -180,8 +227,7 @@ std::vector<float> encode_result(std::uint64_t pack_id,
 
 std::vector<float> encode_result_error(std::uint64_t pack_id,
                                        const std::string& msg) {
-  std::vector<float> out;
-  out.reserve(4 + msg.size());
+  std::vector<float> out = open_message(Kind::kResult, 5 + msg.size());
   put_u64(out, pack_id);
   put_u32(out, 0);  // error
   put_string(out, msg);
@@ -189,7 +235,7 @@ std::vector<float> encode_result_error(std::uint64_t pack_id,
 }
 
 ResultMsg decode_result(const std::vector<float>& payload) {
-  std::size_t pos = 0;
+  std::size_t pos = expect_kind(payload, Kind::kResult, "a result");
   ResultMsg msg;
   msg.pack_id = get_u64(payload, pos);
   const bool ok = get_u32(payload, pos) != 0;
@@ -210,62 +256,37 @@ ResultMsg decode_result(const std::vector<float>& payload) {
   return msg;
 }
 
-std::vector<float> encode_join_invite(std::uint64_t incarnation,
-                                      std::uint64_t fingerprint) {
-  std::vector<float> out;
-  out.reserve(6);
-  put_u32(out, static_cast<std::uint32_t>(JoinKind::kInvite));
-  put_u64(out, incarnation);
-  put_u64(out, fingerprint);
-  put_u32(out, 0);
-  return out;
+std::vector<float> encode_heartbeat() {
+  return open_message(Kind::kHeartbeat, 1);
 }
 
-std::vector<float> encode_join_verdict(std::uint64_t incarnation,
-                                       bool accept) {
-  std::vector<float> out;
-  out.reserve(6);
-  put_u32(out, static_cast<std::uint32_t>(JoinKind::kVerdict));
-  put_u64(out, incarnation);
-  put_u64(out, 0);
-  put_u32(out, accept ? 1u : 0u);
-  return out;
-}
-
-std::vector<float> encode_join_shutdown() {
-  std::vector<float> out;
-  out.reserve(6);
-  put_u32(out, static_cast<std::uint32_t>(JoinKind::kShutdown));
-  put_u64(out, 0);
-  put_u64(out, 0);
-  put_u32(out, 0);
-  return out;
-}
-
-JoinMsg decode_join(const std::vector<float>& payload) {
-  std::size_t pos = 0;
-  JoinMsg msg;
-  msg.kind = static_cast<JoinKind>(get_u32(payload, pos));
-  msg.incarnation = get_u64(payload, pos);
-  msg.fingerprint = get_u64(payload, pos);
-  msg.accept = get_u32(payload, pos) != 0;
-  return msg;
+std::vector<float> encode_invite(std::uint64_t incarnation,
+                                 std::uint64_t fingerprint) {
+  return encode_join(Kind::kInvite, incarnation, fingerprint, false);
 }
 
 std::vector<float> encode_announce(std::uint64_t incarnation,
                                    std::uint64_t fingerprint) {
-  std::vector<float> out;
-  out.reserve(4);
-  put_u64(out, incarnation);
-  put_u64(out, fingerprint);
-  return out;
+  return encode_join(Kind::kAnnounce, incarnation, fingerprint, false);
 }
 
-AnnounceMsg decode_announce(const std::vector<float>& payload) {
-  std::size_t pos = 0;
-  AnnounceMsg msg;
+std::vector<float> encode_verdict(std::uint64_t incarnation, bool accept) {
+  return encode_join(Kind::kVerdict, incarnation, 0, accept);
+}
+
+JoinMsg decode_join(const std::vector<float>& payload) {
+  JoinMsg msg;
+  msg.kind = kind_of(payload);
+  if (msg.kind != Kind::kInvite && msg.kind != Kind::kAnnounce &&
+      msg.kind != Kind::kVerdict) {
+    throw std::runtime_error(
+        "wire: expected a membership message, got message kind " +
+        std::to_string(static_cast<std::uint32_t>(msg.kind)));
+  }
+  std::size_t pos = 1;
   msg.incarnation = get_u64(payload, pos);
   msg.fingerprint = get_u64(payload, pos);
+  msg.accept = get_u32(payload, pos) != 0;
   return msg;
 }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -58,7 +59,7 @@ class CommTimeoutError : public std::runtime_error {
 /// server) gets its own class so inference traffic never skews the
 /// training volume model.
 /// Membership (join invites, fingerprint announces, admission verdicts of
-/// the elastic cluster) is likewise split out: the join lane is control
+/// the elastic cluster) is likewise split out: the handshake is control
 /// plane, not serving volume.
 enum class Traffic : int {
   kP2P = 0,
@@ -152,6 +153,15 @@ class World {
   /// callers drain multiple sources in arrival order instead of
   /// serializing on one mailbox wakeup per source.
   PendingMsg irecv(int dst, int src, std::uint64_t tag);
+
+  /// Blocks until `rank`'s mailbox holds a message from any source on any
+  /// tag, the world is poisoned, or `deadline` passes (time_point::max()
+  /// waits without one). Returns false only on the deadline. It consumes
+  /// nothing, runs no fault hooks and ignores the receive timeout: a rank
+  /// that idles on this between nonblocking polls takes its messages, and
+  /// meets the poison and any latched kill, through PendingMsg::test().
+  bool wait_any(int rank, std::chrono::steady_clock::time_point deadline =
+                              std::chrono::steady_clock::time_point::max());
 
   /// Enqueues one immutable payload at `dst` without copying it; callers
   /// fan a single buffer out to many destinations by calling this once per

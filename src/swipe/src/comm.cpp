@@ -426,6 +426,24 @@ PendingMsg World::irecv(int dst, int src, std::uint64_t tag) {
   return PendingMsg(this, dst, src, tag);
 }
 
+bool World::wait_any(int rank, std::chrono::steady_clock::time_point deadline) {
+  if (rank < 0 || rank >= nranks_) {
+    throw std::invalid_argument("wait_any: rank out of range");
+  }
+  Mailbox& box = *mailboxes_[static_cast<std::size_t>(rank)];
+  std::unique_lock<std::mutex> lock(box.mutex);
+  const auto woken = [&] {
+    return poisoned_.load(std::memory_order_acquire) ||
+           std::any_of(box.queues.begin(), box.queues.end(),
+                       [](const auto& q) { return !q.second.empty(); });
+  };
+  if (deadline == std::chrono::steady_clock::time_point::max()) {
+    box.cv.wait(lock, woken);
+    return true;
+  }
+  return box.cv.wait_until(lock, deadline, woken);
+}
+
 bool World::try_recv(int dst, int src, std::uint64_t tag,
                      std::vector<float>& out) {
   const FaultPlan* plan = fault_.load(std::memory_order_acquire);

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -397,6 +398,25 @@ TEST(ConsistencyEngine, ConsistencyPackWithoutStudentThrows) {
 TEST(SamplerKindEnv, DefaultsToDpmSolver) {
   // Not set in the test environment.
   EXPECT_EQ(sampler_kind_from_env(), SamplerKind::kDpmSolver);
+}
+
+// Only "consistency" names the student; a typo must fail naming the
+// variable and the value instead of being served as the teacher.
+TEST(SamplerKindEnv, UnknownValueThrowsNamingTheVariable) {
+  ::setenv("AERIS_SAMPLER", "", 1);
+  EXPECT_EQ(sampler_kind_from_env(), SamplerKind::kDpmSolver);
+  for (const char* bad : {"consistancy", "dpm", "Consistency"}) {
+    ::setenv("AERIS_SAMPLER", bad, 1);
+    try {
+      (void)sampler_kind_from_env();
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("AERIS_SAMPLER"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  ::unsetenv("AERIS_SAMPLER");
 }
 
 TEST(SamplerKindEnv, ConsistencyFlipsEngineDefaultOnAttach) {

@@ -1,4 +1,4 @@
-// Elastic cluster membership: the HeartbeatMonitor's condemn/probation
+// Elastic cluster membership: the HeartbeatMonitor's watch/probation
 // lifecycle, registry fingerprints, stacked (latched) FaultPlan kills,
 // park -> rejoin -> un-park with the bitwise guarantee intact, fresh-rank
 // growth past the initial world size, and the randomized park/un-park
@@ -18,7 +18,7 @@
 #include "aeris/serving/registry.hpp"
 #include "aeris/serving/server.hpp"
 #include "aeris/swipe/fault.hpp"
-#include "aeris/swipe/health.hpp"
+#include "aeris/serving/health.hpp"
 #include "aeris/tensor/ops.hpp"
 
 namespace aeris::serving {
@@ -128,9 +128,9 @@ bool wait_until(Pred pred, double timeout_ms = 20000.0) {
 // HeartbeatMonitor membership states (injected time; fully deterministic)
 
 TEST(HeartbeatMonitor, UnwatchedRankIsExemptFromBothDetectors) {
-  using Clock = swipe::HeartbeatMonitor::Clock;
+  using Clock = HeartbeatMonitor::Clock;
   const Clock::time_point t0 = Clock::now();
-  swipe::HeartbeatMonitor m(2, /*heartbeat_timeout_ms=*/50.0,
+  HeartbeatMonitor m(2, /*heartbeat_timeout_ms=*/50.0,
                             /*lease_timeout_ms=*/0.0, t0);
   m.unwatch(1);
   EXPECT_FALSE(m.watched(1));
@@ -147,31 +147,12 @@ TEST(HeartbeatMonitor, UnwatchedRankIsExemptFromBothDetectors) {
       << "a re-watched rank is subject to the detectors again";
 }
 
-TEST(HeartbeatMonitor, CondemnClearsLeasesAndExemptsUntilCleared) {
-  using Clock = swipe::HeartbeatMonitor::Clock;
-  const Clock::time_point t0 = Clock::now();
-  swipe::HeartbeatMonitor m(1, /*heartbeat_timeout_ms=*/50.0,
-                            /*lease_timeout_ms=*/100.0, t0);
-  m.open_lease(0, 7, t0);
-  m.condemn(0, t0);
-  EXPECT_TRUE(m.condemned(0));
-  EXPECT_FALSE(m.watched(0));
-  EXPECT_EQ(m.open_leases(0), 0u);  // leases forgotten; owner requeues
-  // Condemned ranks never re-expire, however stale.
-  EXPECT_EQ(m.expired(t0 + std::chrono::seconds(60)), -1);
-
-  m.clear(0);
-  EXPECT_FALSE(m.condemned(0));
-  EXPECT_TRUE(m.watched(0));
-}
-
 TEST(HeartbeatMonitor, ProbationClearsOnlyAfterCleanWindow) {
-  using Clock = swipe::HeartbeatMonitor::Clock;
+  using Clock = HeartbeatMonitor::Clock;
   using std::chrono::milliseconds;
   const Clock::time_point t0 = Clock::now();
-  swipe::HeartbeatMonitor m(2, /*heartbeat_timeout_ms=*/50.0,
+  HeartbeatMonitor m(2, /*heartbeat_timeout_ms=*/50.0,
                             /*lease_timeout_ms=*/100.0, t0);
-  m.condemn(0, t0);
   m.begin_probation(0, t0);
   EXPECT_TRUE(m.on_probation(0));
   EXPECT_TRUE(m.watched(0));
@@ -184,17 +165,18 @@ TEST(HeartbeatMonitor, ProbationClearsOnlyAfterCleanWindow) {
   m.beat(0, t0 + milliseconds(110));
   EXPECT_EQ(m.probation_cleared(t0 + milliseconds(120), 100.0), 0);
 
-  m.clear(0);
+  // Promotion is watch(): a full member, off probation, still watched.
+  m.watch(0, t0 + milliseconds(120));
   EXPECT_FALSE(m.on_probation(0));
-  EXPECT_FALSE(m.condemned(0));
+  EXPECT_TRUE(m.watched(0));
 }
 
 TEST(HeartbeatMonitor, SilentProbationerExpiresEvenWithLeaseDetectorOn) {
   // Probationers hold no leases, so the lease-gated heartbeat branch used
   // to shield them; silence during vetting must still condemn.
-  using Clock = swipe::HeartbeatMonitor::Clock;
+  using Clock = HeartbeatMonitor::Clock;
   const Clock::time_point t0 = Clock::now();
-  swipe::HeartbeatMonitor m(2, /*heartbeat_timeout_ms=*/50.0,
+  HeartbeatMonitor m(2, /*heartbeat_timeout_ms=*/50.0,
                             /*lease_timeout_ms=*/100.0, t0);
   m.begin_probation(1, t0);
   // Rank 0 (a full member, no lease, stale beat) is shielded by the

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "aeris/core/forecaster.hpp"
+#include "aeris/serving/cluster.hpp"
 #include "aeris/tensor/numerics.hpp"
 #include "aeris/tensor/ops.hpp"
 
@@ -911,6 +912,63 @@ TEST(ForecastServer, FromEnvWithNothingSetKeepsDefaults) {
   EXPECT_EQ(o.degrade.max_members, d.degrade.max_members);
   EXPECT_EQ(o.degrade.to_consistency, d.degrade.to_consistency);
   EXPECT_EQ(o.degrade.cut_wait_threshold_ms, d.degrade.cut_wait_threshold_ms);
+}
+
+// A broken ServerOptions invariant is refused, not clamped: both
+// front-ends build their RequestLedger from it, and its constructor throws
+// std::invalid_argument naming the field and the offending value.
+void expect_rejected(const ServerOptions& so, const std::string& field,
+                     const std::string& value) {
+  AerisModel model = make_model(11);
+  ParallelEnsembleEngine engine(model, core::TrigFlowConfig{},
+                                core::TrigSamplerConfig{}, 0);
+  const std::string named = "ServerOptions::" + field + " = " + value;
+  try {
+    ForecastServer server(engine, so);
+    ADD_FAILURE() << named << " accepted by ForecastServer";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+        << e.what();
+  }
+  ClusterOptions co;
+  co.serve = so;
+  try {
+    ClusterForecastServer cluster(engine, co);
+    ADD_FAILURE() << named << " accepted by ClusterForecastServer";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServerOptions, QueueCapacityBelowOneThrows) {
+  ServerOptions so;
+  so.queue_capacity = 0;
+  expect_rejected(so, "queue_capacity", "0");
+}
+
+TEST(ServerOptions, BatchBelowOneThrows) {
+  ServerOptions so;
+  so.batch = -3;
+  expect_rejected(so, "batch", "-3");
+}
+
+TEST(ServerOptions, WorkersBelowOneThrows) {
+  ServerOptions so;
+  so.workers = 0;
+  expect_rejected(so, "workers", "0");
+}
+
+TEST(ServerOptions, NegativeMaxStepRetriesThrows) {
+  ServerOptions so;
+  so.max_step_retries = -1;
+  expect_rejected(so, "max_step_retries", "-1");
+  // Zero retries is a valid policy: fail on the first fault.
+  so.max_step_retries = 0;
+  AerisModel model = make_model(11);
+  ParallelEnsembleEngine engine(model, core::TrigFlowConfig{},
+                                core::TrigSamplerConfig{}, 0);
+  EXPECT_NO_THROW(ForecastServer(engine, so));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 namespace aeris::swipe {
 namespace {
@@ -381,6 +383,47 @@ TEST(Comm, SubgroupIsolation) {
 TEST(Comm, RequiresMembership) {
   World world(2);
   EXPECT_THROW(Communicator(world, {1}, 0, 1), std::invalid_argument);
+}
+
+// wait_any: the idle wait of a rank that polls nonblocking receives. It
+// wakes on a message from any source or tag, on poison, or at its deadline.
+TEST(World, WaitAnyWakesOnAQueuedMessage) {
+  World world(3);
+  world.send(2, 1, /*tag=*/7, {1.0f});
+  // Already queued: true at once, even with the deadline behind it.
+  EXPECT_TRUE(world.wait_any(1, std::chrono::steady_clock::now()));
+  EXPECT_EQ(world.recv(1, 2, /*tag=*/7), std::vector<float>({1.0f}));
+
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    world.send(0, 1, /*tag=*/9, {2.0f});
+  });
+  EXPECT_TRUE(world.wait_any(1));  // no deadline: only the send wakes it
+  sender.join();
+  EXPECT_EQ(world.recv(1, 0, /*tag=*/9), std::vector<float>({2.0f}));
+}
+
+TEST(World, WaitAnyReturnsFalseAtTheDeadline) {
+  World world(2);
+  world.send(1, 0, /*tag=*/1, {1.0f});  // another rank's mail does not count
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(world.wait_any(1, t0 + std::chrono::milliseconds(30)));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(30));
+  EXPECT_THROW(world.wait_any(2, t0), std::invalid_argument);
+}
+
+TEST(World, WaitAnyWakesOnPoison) {
+  World world(2);
+  world.set_timeout(5);  // the receive deadline does not apply to the wait
+  std::thread killer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    world.poison(0, "test poison");
+  });
+  EXPECT_TRUE(world.wait_any(1));
+  killer.join();
+  EXPECT_TRUE(world.poisoned());
+  EXPECT_TRUE(world.wait_any(1));  // a poisoned world never blocks it again
 }
 
 // Handles are single-use: misuse throws instead of silently returning a

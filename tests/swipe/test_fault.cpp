@@ -465,6 +465,36 @@ TEST(Fault, LatchedRecvKillFiresOnAnEmptyQueueInAPoisonedWorld) {
   EXPECT_TRUE(r2_originating) << "latched receive kill not originating";
 }
 
+// World::wait_any consumes nothing and runs no fault hooks: waits do not
+// move the receive ordinal, and a latched kill fires on the receive after
+// the wait, not inside it.
+TEST(Fault, WaitAnyLeavesReceiveOrdinalsAndLatchesAlone) {
+  World world(2);
+  auto plan = std::make_shared<FaultPlan>();
+  plan->add(recv_event(FaultKind::kKillRank, /*rank=*/1, /*nth=*/1));
+  world.set_fault_plan(plan);
+  world.send(0, 1, /*tag=*/1, {0.0f});
+  world.send(0, 1, /*tag=*/1, {1.0f});
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(world.wait_any(1));
+  PendingMsg first = world.irecv(1, 0, /*tag=*/1);
+  ASSERT_TRUE(first.test());  // receive #0: the waits counted for nothing
+  EXPECT_EQ(first.wait(), std::vector<float>({0.0f}));
+  EXPECT_TRUE(world.wait_any(1));
+  PendingMsg second = world.irecv(1, 0, /*tag=*/1);
+  EXPECT_THROW(second.test(), InjectedFault);  // receive #1
+
+  World idle(2);
+  auto latched = std::make_shared<FaultPlan>();
+  FaultEvent kill = recv_event(FaultKind::kKillRank, 1, /*nth=*/1000000);
+  kill.latch = true;
+  latched->add(kill);
+  idle.set_fault_plan(latched);
+  idle.poison(0, "test poison");
+  EXPECT_NO_THROW(EXPECT_TRUE(idle.wait_any(1)));
+  PendingMsg rx = idle.irecv(1, 0, /*tag=*/1);
+  EXPECT_THROW(rx.test(), InjectedFault);
+}
+
 // Sends and receives keep separate ordinals: receives never advance a
 // send-side event, and sends never advance a receive-side one.
 TEST(Fault, SendOrdinalsAreUnaffectedByReceives) {
